@@ -3,8 +3,8 @@
 The observability plane (``repro.obs``) promises to be no-op-cheap:
 count metrics derive from the counters the pipeline already maintains,
 and timing spans wrap batch-level operations only. This bench holds
-that promise to a number — the same campus-mix stream as
-``bench_ingest`` through the raw and bulk ingest paths with metrics
+that promise to a number — a campus-mix stream through the per-frame
+(``raw-*`` entries) and bulk ingest surfaces with metrics
 disabled and enabled, asserting the enabled mode stays within 3% (the
 ISSUE budget; encoded as ``floor: 0.97`` in the committed
 ``BENCH_obs.json``, which ``check_bench_regression.py`` enforces as an

@@ -4,7 +4,7 @@
 Usage::
 
     python benchmarks/check_bench_regression.py \
-        --baseline baseline/BENCH_ingest.json --fresh BENCH_ingest.json
+        --baseline baseline/BENCH_obs.json --fresh BENCH_obs.json
 
 Entries are matched by ``(mode, workers)``. Two kinds of comparison,
 each with a 20% tolerance:
@@ -12,8 +12,8 @@ each with a 20% tolerance:
 * **pkt/s** — only meaningful on the same machine context (equal CPU
   count, same Python minor version, same smoke flag). Mismatched
   contexts are skipped loudly, never silently passed.
-* **speedup** — dimensionless, so single-worker ratios (raw vs eager,
-  bulk vs raw) transfer across machines and are always enforced.
+* **speedup** — dimensionless, so single-worker ratios (metrics
+  enabled vs disabled) transfer across machines and are always enforced.
   Multi-worker scaling ratios are only enforced when *both* sides
   measured on >=4 cores; a 1-core box produces inverted scaling that
   would be meaningless as a floor.

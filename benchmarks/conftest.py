@@ -78,14 +78,14 @@ def emit(name: str, text: str) -> None:
 
 # --- committed benchmark trajectory -----------------------------------------
 #
-# BENCH_<name>.json at the repo root is the committed perf record:
+# BENCH_<name>.json at the repo root is a committed perf record:
 # commit, machine context (CPU count, Python version — cross-runner
 # numbers are meaningless without them), and one entry per
-# (mode, workers) with pkt/s and speedup. CI regenerates the files in
-# smoke mode (REPRO_BENCH_SMOKE=1 shrinks the workload) and
-# check_bench_regression.py fails the build on >20% regression vs the
-# committed floor, skipping comparisons that are not meaningful across
-# machine contexts.
+# (mode, workers) with pkt/s and speedup. Throughput claims live in
+# benchmarks/ledger/ now; the one record left is BENCH_obs.json, whose
+# absolute 0.97 floors are the <3 % observability budget: CI
+# regenerates it in smoke mode (REPRO_BENCH_SMOKE=1 shrinks the
+# workload) and check_bench_regression.py enforces the floors.
 
 import json
 import platform
@@ -129,9 +129,8 @@ def emit_bench_json(name: str, entries: list[dict]) -> Path:
 
 # --- shared timing harness ---------------------------------------------------
 #
-# Every throughput bench used to carry its own best-of-N perf_counter
-# loop; best_of() is the single copy. Each round also lands in a
-# session-wide observability registry (the same Histogram/exposition
+# best_of() is the best-of-N perf_counter loop. Each round also lands
+# in a session-wide observability registry (the same Histogram/exposition
 # machinery the runtime serves on /metrics), written to
 # benchmarks/results/bench_metrics.prom at session end — so a bench
 # session's raw round timings are inspectable with the exact tooling
@@ -183,9 +182,8 @@ def pytest_sessionfinish(session, exitstatus):
 # --- shared workloads --------------------------------------------------------
 #
 # The campus-mix frame stream (video handshakes + non-video TLS + the
-# non-443 bulk that dominates a real tap) used to live in
-# bench_ingest; bench_obs measures instrumentation overhead on the
-# identical stream, so the builder lives here once.
+# non-443 bulk that dominates a real tap) bench_obs measures
+# instrumentation overhead on.
 
 from dataclasses import replace as _dc_replace
 

@@ -36,11 +36,11 @@ class DiesAfter:
     def __getattr__(self, name):
         return getattr(self._pipeline, name)
 
-    def process_raw(self, raw):
-        if self._frames_left <= 0:
+    def process_block(self, decoded):
+        if self._frames_left < len(decoded):
             raise SimulatedCrash()
-        self._frames_left -= 1
-        self._pipeline.process_raw(raw)
+        self._frames_left -= len(decoded)
+        self._pipeline.process_block(decoded)
 
 
 def main() -> None:
@@ -85,7 +85,7 @@ def main() -> None:
                     checkpoint_dir=ck, **schedule)
     except SimulatedCrash:
         position = load_ingest_position(ck)
-        print(f"Crash after frame {len(frames) * 2 // 3}; last "
+        print(f"Crash near frame {len(frames) * 2 // 3}; last "
               f"checkpoint covers {position.consumed} records "
               f"({position.frames} processed, "
               f"{position.skipped} skipped).")

@@ -28,8 +28,6 @@ Usage::
         --ingest eager
     python -m repro.cli classify --bank bank/ --pcap cap.pcap \
         --workers 4 --idle-timeout 120
-    python -m repro.cli classify --bank bank/ --pcap cap.pcap \
-        --workers 4 --ingest bulk --transport shm
     python -m repro.cli campus --bank bank/ --sessions 300
     python -m repro.cli campus --bank bank/ --pcap campus-day.pcap
     python -m repro.cli campus --bank bank/ --retention rollup \
@@ -85,7 +83,6 @@ from repro.pipeline import (
     INGEST_MODES,
     LABEL_MODES,
     RETENTION_MODES,
-    TRANSPORTS,
     ParallelShardedPipeline,
     RealtimePipeline,
     ShardedPipeline,
@@ -253,7 +250,12 @@ def _build_pipeline(args: argparse.Namespace, obs: _Obs):
     serial in-process dispatcher. ``--resume DIR`` rebuilds whichever
     runtime from a checkpoint instead of starting empty, and
     ``--reload-bank DIR`` hot-swaps a retrained bank into the (possibly
-    restored) pipeline before any traffic flows."""
+    restored) pipeline before any traffic flows.
+
+    Worker processes are fed over the shared-memory rings
+    (``transport="shm"``): a replay ships blocks, and blocks are
+    cheaper through the ring than pickled. ``serve`` ships frames and
+    takes the queue instead (see ``build_daemon``)."""
     if args.workers > 1 and args.shards > 1:
         print("--workers (multiprocess) and --shards (in-process) are "
               "alternative runtimes; pick one", file=sys.stderr)
@@ -273,7 +275,7 @@ def _build_pipeline(args: argparse.Namespace, obs: _Obs):
             pipeline = ParallelShardedPipeline(
                 args.bank, num_workers=args.workers,
                 batch_size=batch_size, retention=retention,
-                transport=args.transport,
+                transport="shm",
                 checkpoint_dir=args.checkpoint_dir,
                 metrics=obs.metrics, events=obs.events)
         else:
@@ -323,7 +325,7 @@ def _restore_pipeline(args: argparse.Namespace, obs: _Obs):
         return ParallelShardedPipeline.restore(
             args.resume, args.bank, num_workers=args.workers,
             batch_size=args.batch_size, retention=args.retention,
-            transport=args.transport,
+            transport="shm",
             checkpoint_dir=args.checkpoint_dir or args.resume,
             metrics=obs.metrics, events=obs.events)
     bank = load_bank(args.bank)
@@ -499,7 +501,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         retention=args.retention or "rollup",
         batch_size=args.batch_size,
-        transport=args.transport,
         host=args.host, port=args.port,
         idle_timeout=args.idle_timeout,
         checkpoint_dir=args.checkpoint_dir,
@@ -740,9 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-record retention (default rollup: bounded memory "
              "for unbounded live runs)")
     serve.add_argument(
-        "--transport", choices=TRANSPORTS, default="queue",
-        help="frame transport to worker processes")
-    serve.add_argument(
         "--idle-timeout", type=float, default=None, metavar="SECONDS",
         help="evict flows idle this long in capture time "
              "(default: no eviction)")
@@ -872,17 +870,10 @@ def _add_scaling_args(parser: argparse.ArgumentParser) -> None:
              "cube, or both (default raw, or the checkpointed value "
              "under --resume)")
     parser.add_argument(
-        "--ingest", choices=INGEST_MODES, default="raw",
-        help="pcap ingest path: zero-copy raw frames, eager "
-             "per-record Packet.from_bytes (the oracle), or bulk "
-             "vectorized block decode (fastest; byte-identical "
-             "results)")
-    parser.add_argument(
-        "--transport", choices=TRANSPORTS, default="queue",
-        help="frame transport to --workers processes: pickled queue "
-             "chunks, or shared-memory rings carrying raw frame "
-             "bytes with in-place reads (only meaningful with "
-             "--workers > 1)")
+        "--ingest", choices=INGEST_MODES, default="bulk",
+        help="pcap ingest path: bulk vectorized block decode (the "
+             "default), or eager per-record Packet.from_bytes (the "
+             "oracle; byte-identical results)")
     parser.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
         help="periodically snapshot full pipeline state (+ replay "

@@ -297,15 +297,6 @@ class FrameBlock:
     def frame_bytes(self, i: int) -> bytes:
         return bytes(self.frame(i))
 
-    def iter_frames(self) -> Iterator[tuple[memoryview, float]]:
-        """Yield ``(memoryview, timestamp)`` pairs — the adapter that
-        feeds a block through the per-frame ``process_frames`` path."""
-        view = memoryview(self.buf)
-        for start, end, ts in zip(self.starts.tolist(),
-                                  self.ends.tolist(),
-                                  self.timestamps.tolist()):
-            yield view[start:end], ts
-
     def slice(self, lo: int, hi: int) -> "FrameBlock":
         """Frames ``[lo, hi)`` as a view over the same buffer."""
         return FrameBlock(self.buf, self.starts[lo:hi],

@@ -276,21 +276,17 @@ class RealtimePipeline:
 
     # -- raw-frame mode --------------------------------------------------------
 
-    def process_frame(self, data: bytes | bytearray | memoryview,
-                      timestamp: float = 0.0) -> None:
-        """Ingest one raw captured frame through the zero-copy path.
-
-        Equivalent to ``process_packet(Packet.from_bytes(data,
-        timestamp))`` — identical counters, predictions, and telemetry
-        on any capture — but only the handshake packets that reach
-        ``parse_flow_handshake`` ever pay for full parsing; everything
-        else is decoded by struct offsets alone."""
-        self.process_raw(RawPacket.parse(data, timestamp))
-
     def process_raw(self, raw: RawPacket) -> None:
-        """Ingest an already-parsed :class:`RawPacket` view (the shared
-        core of :meth:`process_frame`; the sharded dispatcher calls this
-        directly so a frame is never parsed twice)."""
+        """Ingest one parsed :class:`RawPacket` view through the
+        zero-copy path.
+
+        Equivalent to ``process_packet(Packet.from_bytes(raw.data,
+        raw.timestamp))`` — identical counters, predictions, and
+        telemetry on any capture — but only the handshake packets that
+        reach ``parse_flow_handshake`` ever pay for full parsing;
+        everything else is decoded by struct offsets alone. Takes the
+        view, not the bytes, so a dispatcher that already parsed the
+        frame for routing never parses it twice."""
         self.counters.packets += 1
         if raw.dst_port != HTTPS_PORT and raw.src_port != HTTPS_PORT:
             return
@@ -335,7 +331,7 @@ class RealtimePipeline:
         """Ingest one vectorized :func:`~repro.net.decode_block` result.
 
         Equivalent to feeding the block's valid frames through
-        :meth:`process_frame` one by one — identical counters, flow
+        :meth:`process_frames` one by one — identical counters, flow
         table, predictions, and telemetry — but only the HTTPS frames
         run any per-frame Python, and only candidate handshake packets
         of still-collecting flows are promoted to full ``Packet``

@@ -1,15 +1,16 @@
 """Capture-file ingest glue: stream a pcap through a pipeline.
 
-One function bridges :class:`~repro.net.pcap.PcapReader` and either
-pipeline flavor without materializing the capture. ``mode="raw"`` (the
-default, and what the CLI uses) streams raw frames through the
-zero-copy ``process_frames`` path; ``mode="eager"`` keeps the original
-per-record ``Packet.from_bytes`` path alive as the equivalence oracle;
-``mode="bulk"`` streams whole :class:`~repro.net.FrameBlock` chunks
-through the vectorized ``decode_block``/``process_block`` path. All
-three produce identical counters, predictions, and telemetry on the
-same file (``tests/test_ingest_equivalence.py`` and
-``tests/test_bulk_equivalence.py`` pin this).
+One function bridges :class:`~repro.net.pcap.PcapReader` and every
+pipeline flavor without materializing the capture. ``mode="bulk"`` (the
+default, and what the CLI uses) streams whole
+:class:`~repro.net.FrameBlock` chunks through the vectorized
+``decode_block``/``process_block`` path; ``mode="eager"`` keeps the
+original per-record ``Packet.from_bytes`` path alive as the equivalence
+oracle. Both produce identical counters, predictions, and telemetry on
+the same file (``tests/test_bulk_equivalence.py`` and
+``tests/test_golden_trace.py`` pin this). The per-frame surface
+(``process_raw``/``process_frames``) is what *live* sources feed; a
+replay has no use for it, so it is not an ingest mode.
 
 Real captures carry frames the pipeline cannot use — ARP, IPv6, LLDP,
 mangled records. By default those are skipped and tallied rather than
@@ -43,27 +44,29 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Callable
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
 from repro.errors import ConfigError, ParseError
 from repro.net.packet import Packet
 from repro.net.pcap import PcapReader
-from repro.net.rawpacket import RawPacket, decode_block
+from repro.net.rawpacket import decode_block
 from repro.pipeline.ticks import TickDriver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.events import EventLog
+    from repro.obs.metrics import MetricsRegistry
     from repro.pipeline.engine import RealtimePipeline
     from repro.pipeline.parallel import ParallelShardedPipeline
     from repro.pipeline.sharded import ShardedPipeline
 
-INGEST_MODES = ("raw", "eager", "bulk")
+INGEST_MODES = ("eager", "bulk")
 
 INGEST_POSITION_FILE = "ingest.json"
-_INGEST_POSITION_VERSION = 1
+_POSITION_VERSION = 1
 
 _STAGE_HELP = "Stage latency (seconds) per batch-level operation"
 
@@ -85,15 +88,7 @@ class IngestPosition(NamedTuple):
     next_checkpoint: float | None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "format_version": _INGEST_POSITION_VERSION,
-            "consumed": self.consumed,
-            "frames": self.frames,
-            "skipped": self.skipped,
-            "clock": self.clock,
-            "next_evict": self.next_evict,
-            "next_checkpoint": self.next_checkpoint,
-        }, sort_keys=True, indent=1)
+        return position_json(self)
 
 
 def _clock_field(data: dict, key: str) -> float | None:
@@ -112,37 +107,57 @@ def _clock_field(data: dict, key: str) -> float | None:
     return float(value)
 
 
+def position_json(position: NamedTuple) -> str:
+    """The sidecar text of a position tuple (this module's, or the
+    daemon's ``ServicePosition``): its fields plus
+    ``format_version``."""
+    return json.dumps({"format_version": _POSITION_VERSION,
+                       **position._asdict()}, sort_keys=True, indent=1)
+
+
+def load_position(checkpoint_dir: str | Path, file_name: str, kind: str,
+                  clock_fields: tuple[str, ...],
+                  missing: str) -> dict[str, Any]:
+    """Read a position sidecar saved alongside a checkpoint — the one
+    reader behind :func:`load_ingest_position` and the daemon's
+    ``load_service_position``. Returns the three record counters plus
+    ``clock_fields`` coerced by :func:`_clock_field`; raises
+    :class:`ConfigError` when the sidecar is absent (``missing`` says
+    what wrote it) or malformed."""
+    path = Path(checkpoint_dir) / file_name
+    if not path.exists():
+        raise ConfigError(
+            f"checkpoint at {checkpoint_dir} has no {missing}")
+    try:
+        data = json.loads(path.read_text())
+        if data.get("format_version") != _POSITION_VERSION:
+            raise ConfigError(
+                f"unsupported {kind} position format "
+                f"{data.get('format_version')!r} at {path}")
+        fields: dict[str, Any] = {
+            key: int(data[key])
+            for key in ("consumed", "frames", "skipped")}
+        for key in clock_fields:
+            fields[key] = _clock_field(data, key)
+        return fields
+    except ConfigError:
+        raise
+    except (json.JSONDecodeError, UnicodeDecodeError, AttributeError,
+            KeyError, TypeError, ValueError, OSError) as exc:
+        raise ConfigError(
+            f"malformed {kind} position at {path}: {exc}") from exc
+
+
 def load_ingest_position(checkpoint_dir: str | Path) -> IngestPosition:
     """Read the replay position saved alongside a checkpoint; raises
     :class:`ConfigError` when the checkpoint carries none (it was not
     written by a checkpointing :func:`ingest_pcap`) or it is
     malformed."""
-    path = Path(checkpoint_dir) / INGEST_POSITION_FILE
-    if not path.exists():
-        raise ConfigError(
-            f"checkpoint at {checkpoint_dir} has no replay position "
-            f"({INGEST_POSITION_FILE}); it was not written during a "
-            f"pcap replay")
-    try:
-        data = json.loads(path.read_text())
-        if data.get("format_version") != _INGEST_POSITION_VERSION:
-            raise ConfigError(
-                f"unsupported ingest position format "
-                f"{data.get('format_version')!r} at {path}")
-        return IngestPosition(
-            consumed=int(data["consumed"]),
-            frames=int(data["frames"]),
-            skipped=int(data["skipped"]),
-            clock=_clock_field(data, "clock"),
-            next_evict=_clock_field(data, "next_evict"),
-            next_checkpoint=_clock_field(data, "next_checkpoint"),
-        )
-    except ConfigError:
-        raise
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-            TypeError, ValueError, OSError) as exc:
-        raise ConfigError(
-            f"malformed ingest position at {path}: {exc}") from exc
+    return IngestPosition(**load_position(
+        checkpoint_dir, INGEST_POSITION_FILE, "ingest",
+        ("clock", "next_evict", "next_checkpoint"),
+        f"replay position ({INGEST_POSITION_FILE}); it was not written "
+        f"during a pcap replay"))
 
 
 class IngestResult(NamedTuple):
@@ -155,7 +170,7 @@ class IngestResult(NamedTuple):
 
 def ingest_pcap(pipeline: "RealtimePipeline | ShardedPipeline | "
                           "ParallelShardedPipeline",
-                path: str | Path, mode: str = "raw",
+                path: str | Path, mode: str = "bulk",
                 strict: bool = False,
                 idle_timeout: float | None = None,
                 evict_interval: float | None = None,
@@ -205,10 +220,8 @@ def ingest_pcap(pipeline: "RealtimePipeline | ShardedPipeline | "
                         checkpoint_interval=checkpoint_interval,
                         events=events)
     consumed = frames = skipped = 0
-    to_skip = 0
     if resume_dir is not None:
         position = load_ingest_position(resume_dir)
-        to_skip = position.consumed
         consumed = position.consumed
         frames = position.frames
         skipped = position.skipped
@@ -223,80 +236,97 @@ def ingest_pcap(pipeline: "RealtimePipeline | ShardedPipeline | "
             events.emit("ingest_resume", resume_dir=str(resume_dir),
                         consumed=consumed, frames=frames,
                         skipped=skipped)
-    if mode == "bulk":
-        return _ingest_bulk(
-            pipeline, path, driver, strict=strict, to_skip=to_skip,
-            consumed=consumed, frames=frames, skipped=skipped)
+    resume_consumed = consumed
+    start_skipped = skipped
     registry = getattr(pipeline, "metrics", None)
     started = time.perf_counter()
-    start_skipped = skipped
-    track_clock = driver.active
     driver.position = lambda: {INGEST_POSITION_FILE: IngestPosition(
         consumed=consumed, frames=frames, skipped=skipped,
         clock=driver.clock, next_evict=driver.next_evict,
         next_checkpoint=driver.next_checkpoint).to_json()}
     driver.event_fields = lambda: {"consumed": consumed}
+
+    def account(records: int, good: int) -> None:
+        nonlocal consumed, frames, skipped
+        consumed += records
+        frames += good
+        skipped += records - good
+
     with PcapReader(path) as reader:
-        if mode == "raw":
-            parse = RawPacket.parse
-            process = pipeline.process_raw
+        if mode == "bulk":
+            missing = _replay_blocks(pipeline, reader, driver, registry,
+                                     strict, resume_consumed, account)
         else:
-            parse = Packet.from_bytes
-            process = pipeline.process_packet
-        for data, timestamp in reader.frames():
-            if to_skip:
-                # Fast-forward through records the checkpointed run
-                # already consumed; their effects are in the restored
-                # pipeline state.
-                to_skip -= 1
-                continue
-            # The clock advances on every frame — skipped ones too: an
-            # unparseable-heavy stretch (IPv6/ARP bursts) still passes
-            # capture time, and idle flows must not outlive it.
-            if track_clock:
-                driver.advance(timestamp)
-            try:
-                packet = parse(data, timestamp)
-            except ParseError:
-                if strict:
-                    raise
-                skipped += 1
-                consumed += 1
-                continue
-            process(packet)
-            frames += 1
-            consumed += 1
-    if to_skip:
+            missing = _replay_packets(pipeline, reader, driver, strict,
+                                      resume_consumed, account)
+    if missing:
         # Fewer records than the checkpoint consumed: this is not the
         # capture the position came from (wrong file or truncated).
         raise ConfigError(
             f"cannot resume: {path} holds fewer records than the "
-            f"checkpointed position ({to_skip} of "
-            f"{position.consumed} consumed records missing)")
-    _observe_ingest(registry, started, skipped - start_skipped)
+            f"checkpointed position ({missing} of "
+            f"{resume_consumed} consumed records missing)")
+    if registry is not None:
+        # One observation per replay, nothing per frame.
+        registry.histogram(
+            "repro_ingest_seconds",
+            "Wall-clock duration of one capture replay",
+            buckets=(0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0,
+                     1800.0, 7200.0, 43200.0)
+        ).observe(time.perf_counter() - started)
+        registry.counter(
+            "repro_ingest_skipped_total",
+            "Unparseable frames skipped during replay"
+        ).inc(skipped - start_skipped)
     return IngestResult(frames, skipped)
 
 
-def _observe_ingest(registry, started: float, skipped: int) -> None:
-    """Fold one replay's totals into the pipeline's live registry (one
-    observation per :func:`ingest_pcap` call, nothing per frame)."""
-    if registry is None:
-        return
-    registry.histogram(
-        "repro_ingest_seconds",
-        "Wall-clock duration of one capture replay",
-        buckets=(0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0, 1800.0,
-                 7200.0, 43200.0)).observe(time.perf_counter() - started)
-    registry.counter(
-        "repro_ingest_skipped_total",
-        "Unparseable frames skipped during replay").inc(skipped)
+def _replay_packets(pipeline: "RealtimePipeline | ShardedPipeline | "
+                              "ParallelShardedPipeline",
+                    reader: PcapReader, driver: TickDriver,
+                    strict: bool, to_skip: int,
+                    account: Callable[[int, int], None]) -> int:
+    """The ``mode="eager"`` body of :func:`ingest_pcap`: one
+    ``Packet.from_bytes`` + ``process_packet`` per record — the oracle
+    every fast path is held to. Returns how many of ``to_skip``
+    already-consumed records the capture turned out not to hold."""
+    track_clock = driver.active
+    parse = Packet.from_bytes
+    process = pipeline.process_packet
+    for data, timestamp in reader.frames():
+        if to_skip:
+            # Fast-forward through records the checkpointed run
+            # already consumed; their effects are in the restored
+            # pipeline state.
+            to_skip -= 1
+            continue
+        # The clock advances on every frame — skipped ones too: an
+        # unparseable-heavy stretch (IPv6/ARP bursts) still passes
+        # capture time, and idle flows must not outlive it.
+        if track_clock:
+            driver.advance(timestamp)
+        try:
+            packet = parse(data, timestamp)
+        except ParseError:
+            if strict:
+                raise
+            account(1, 0)
+            continue
+        process(packet)
+        account(1, 1)
+    return to_skip
 
 
-def _ingest_bulk(pipeline, path, driver: TickDriver, *, strict,
-                 to_skip, consumed, frames, skipped) -> IngestResult:
+def _replay_blocks(pipeline: "RealtimePipeline | ShardedPipeline | "
+                             "ParallelShardedPipeline",
+                   reader: PcapReader, driver: TickDriver,
+                   registry: "MetricsRegistry | None", strict: bool,
+                   to_skip: int,
+                   account: Callable[[int, int], None]) -> int:
     """The ``mode="bulk"`` body of :func:`ingest_pcap`: stream the
     capture as :class:`~repro.net.FrameBlock` chunks through
-    ``pipeline.process_block``.
+    ``pipeline.process_block``. Returns the unskipped remainder of
+    ``to_skip``, like :func:`_replay_packets`.
 
     Per-frame observable order is preserved exactly — the capture
     clock is the running max of *all* timestamps (skipped frames too),
@@ -310,98 +340,74 @@ def _ingest_bulk(pipeline, path, driver: TickDriver, *, strict,
     max against the driver's armed deadlines), so a tick-free block is
     one ``process_block`` call.
     """
-    resume_consumed = consumed
-    registry = getattr(pipeline, "metrics", None)
-    started = time.perf_counter()
-    start_skipped = skipped
     track_clock = driver.active
-    driver.position = lambda: {INGEST_POSITION_FILE: IngestPosition(
-        consumed=consumed, frames=frames, skipped=skipped,
-        clock=driver.clock, next_evict=driver.next_evict,
-        next_checkpoint=driver.next_checkpoint).to_json()}
-    driver.event_fields = lambda: {"consumed": consumed}
     decode_span = None if registry is None else registry.timed(
         "repro_stage_seconds", _STAGE_HELP, {"stage": "block_decode"})
-
-    def _process_span(decoded, lo, hi):
-        nonlocal consumed, frames, skipped
-        span = decoded if lo == 0 and hi == len(decoded) \
-            else decoded.slice(lo, hi)
-        pipeline.process_block(span)
-        good = span.valid_count
-        frames += good
-        skipped += (hi - lo) - good
-        consumed += hi - lo
-
-    with PcapReader(path) as reader:
-        for block in reader.blocks():
-            if to_skip:
-                # Fast-forward records the checkpointed run already
-                # consumed; like the per-frame loop, they advance
-                # nothing — not even the clock.
-                if to_skip >= len(block):
-                    to_skip -= len(block)
-                    continue
-                block = block.slice(to_skip, len(block))
-                to_skip = 0
-            if decode_span is not None:
-                with decode_span:
-                    decoded = decode_block(block)
-            else:
+    for block in reader.blocks():
+        if to_skip:
+            # Fast-forward records the checkpointed run already
+            # consumed; like the per-record loop, they advance
+            # nothing — not even the clock.
+            if to_skip >= len(block):
+                to_skip -= len(block)
+                continue
+            block = block.slice(to_skip, len(block))
+            to_skip = 0
+        if decode_span is not None:
+            with decode_span:
                 decoded = decode_block(block)
-            times = block.timestamps
-            runmax = np.maximum.accumulate(times)
-            if driver.clock is not None:
-                runmax = np.maximum(runmax, driver.clock)
-            n = len(block)
-            pos = 0
-            while pos < n:
-                if track_clock:
-                    # Frame-``pos`` events, in per-frame order: clock
-                    # advance + deadline arming, eviction tick,
-                    # checkpoint tick.
-                    driver.advance(float(runmax[pos]))
-                if strict and not decoded.valid[pos]:
-                    # Ticks at this frame fired above; now fail with
-                    # the per-frame path's exact error.
-                    decoded.raise_invalid(pos)
-                # Find the next event frame after ``pos``; everything
-                # before it is one uninterrupted span.
-                cut = n
-                if track_clock:
-                    if (driver.next_evict is None and
-                            driver.evict_interval is not None) or \
-                            (driver.next_checkpoint is None and
-                             driver.checkpoint_interval is not None):
-                        # A deadline is still unarmed: it arms at the
-                        # next clock advance.
-                        ahead = times[pos + 1:] > driver.clock
-                        if ahead.any():
-                            cut = min(cut,
-                                      pos + 1 + int(np.argmax(ahead)))
-                    for deadline in (driver.next_evict,
-                                     driver.next_checkpoint):
-                        if deadline is not None:
-                            cut = min(cut, pos + 1 + int(
-                                np.searchsorted(runmax[pos + 1:],
-                                                deadline)))
-                if strict:
-                    bad = np.nonzero(~decoded.valid[pos:cut])[0]
-                    if bad.size:
-                        # bad[0] > 0: an invalid frame *at* pos raised
-                        # above, so the span below is never empty.
-                        cut = pos + int(bad[0])
-                _process_span(decoded, pos, cut)
-                if track_clock and cut > pos:
-                    # Catch the clock up to the span's end; by the cut
-                    # construction no deadline lies inside the span, so
-                    # this advance can never fire a tick.
-                    driver.advance(float(runmax[cut - 1]))
-                pos = cut
-    if to_skip:
-        raise ConfigError(
-            f"cannot resume: {path} holds fewer records than the "
-            f"checkpointed position ({to_skip} of "
-            f"{resume_consumed} consumed records missing)")
-    _observe_ingest(registry, started, skipped - start_skipped)
-    return IngestResult(frames, skipped)
+        else:
+            decoded = decode_block(block)
+        times = block.timestamps
+        runmax = np.maximum.accumulate(times)
+        if driver.clock is not None:
+            runmax = np.maximum(runmax, driver.clock)
+        n = len(block)
+        pos = 0
+        while pos < n:
+            if track_clock:
+                # Frame-``pos`` events, in per-frame order: clock
+                # advance + deadline arming, eviction tick,
+                # checkpoint tick.
+                driver.advance(float(runmax[pos]))
+            if strict and not decoded.valid[pos]:
+                # Ticks at this frame fired above; now fail with
+                # the per-frame path's exact error.
+                decoded.raise_invalid(pos)
+            # Find the next event frame after ``pos``; everything
+            # before it is one uninterrupted span.
+            cut = n
+            if track_clock:
+                if (driver.next_evict is None and
+                        driver.evict_interval is not None) or \
+                        (driver.next_checkpoint is None and
+                         driver.checkpoint_interval is not None):
+                    # A deadline is still unarmed: it arms at the
+                    # next clock advance.
+                    ahead = times[pos + 1:] > driver.clock
+                    if ahead.any():
+                        cut = min(cut,
+                                  pos + 1 + int(np.argmax(ahead)))
+                for deadline in (driver.next_evict,
+                                 driver.next_checkpoint):
+                    if deadline is not None:
+                        cut = min(cut, pos + 1 + int(
+                            np.searchsorted(runmax[pos + 1:],
+                                            deadline)))
+            if strict:
+                bad = np.nonzero(~decoded.valid[pos:cut])[0]
+                if bad.size:
+                    # bad[0] > 0: an invalid frame *at* pos raised
+                    # above, so the span below is never empty.
+                    cut = pos + int(bad[0])
+            span = decoded if pos == 0 and cut == n \
+                else decoded.slice(pos, cut)
+            pipeline.process_block(span)
+            account(cut - pos, span.valid_count)
+            if track_clock and cut > pos:
+                # Catch the clock up to the span's end; by the cut
+                # construction no deadline lies inside the span, so
+                # this advance can never fire a tick.
+                driver.advance(float(runmax[cut - 1]))
+            pos = cut
+    return to_skip

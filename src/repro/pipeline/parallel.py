@@ -101,17 +101,14 @@ _QUEUE_MAX_CHUNKS = 16
 _REPLY_TIMEOUT = 5.0  # between liveness checks while awaiting a reply
 
 # Commands that only carry data (fire-and-forget, no reply); everything
-# else is a control command with exactly one reply. "block" (packed
-# bulk-decode chunk), "pframes" (packed per-frame chunk, the shm
-# carrier for process_frames traffic) and "tally" (bare packet-count
-# attribution) joined with the bulk/shm transport work.
-_DATA_OPS = frozenset(("frames", "packets", "flows", "block", "pframes",
-                       "tally"))
+# else is a control command with exactly one reply. "block" is a packed
+# bulk-decode chunk, "tally" a bare packet-count attribution.
+_DATA_OPS = frozenset(("frames", "packets", "flows", "block", "tally"))
 
-# Available frame transports: "queue" pickles frame chunks through the
-# command queue (the original path); "shm" writes packed frame bytes
-# into a per-worker shared-memory ring and ships only (offset, length)
-# descriptors through the queue.
+# How packed *blocks* reach the workers: "queue" pickles them through
+# the command queue; "shm" writes them into a per-worker shared-memory
+# ring and ships only (offset, length) descriptors through the queue.
+# Per-frame, packet and flow chunks ride the queue either way.
 TRANSPORTS = ("queue", "shm")
 
 # Sentinel for "no recovered reply pending" (None is a valid reply).
@@ -149,17 +146,6 @@ def _ingest_packed_block(pipeline: RealtimePipeline, buf) -> None:
     pipeline.process_block(decode_block(FrameBlock.unpack(buf)))
 
 
-def _ingest_packed_frames(pipeline: RealtimePipeline, buf) -> None:
-    """Worker-side per-frame ingest of one packed chunk — the shm
-    carrier for ``process_frames`` traffic; semantics identical to the
-    queue transport's ``("frames", [...])`` chunks."""
-    block = FrameBlock.unpack(buf)
-    process = pipeline.process_raw
-    parse = RawPacket.parse
-    for data, timestamp in block.iter_frames():
-        process(parse(data, timestamp))
-
-
 def _worker_main(worker_id: int, bank_dir: str, options: dict,
                  resume_dir: str | None, cmd_queue, out_queue,
                  ring_name: str | None = None,
@@ -170,14 +156,14 @@ def _worker_main(worker_id: int, bank_dir: str, options: dict,
     until ``stop``.
 
     Data commands (``frames``/``packets``/``flows``/``block``/
-    ``pframes``/``tally``) are fire-and-forget chunks; control commands
+    ``tally``) are fire-and-forget chunks; control commands
     (``drain``/``flush``/``flush_idle``/``sync``/``checkpoint``/
     ``reload_bank``/``stop``) each produce exactly one
-    ``("ok", payload)`` reply. Under the shm transport, ``block``/
-    ``pframes`` payloads arrive as ``("shm", op, offset, length,
-    consumed_after)`` descriptors resolved against the attached ring;
-    the consumption cursor is published only after the span is fully
-    processed (everything a flow keeps was copied by promotion). Any
+    ``("ok", payload)`` reply. Under the shm transport, ``block``
+    payloads arrive as ``("shm", offset, length, consumed_after)``
+    descriptors resolved against the attached ring; the consumption
+    cursor is published only after the span is fully processed
+    (everything a flow keeps was copied by promotion). Any
     failure ships the traceback back as ``("error", text)`` and ends
     the worker — the parent raises it at the next barrier (or
     respawns, if recovery is armed).
@@ -213,13 +199,10 @@ def _worker_main(worker_id: int, bank_dir: str, options: dict,
             if op == "frames":
                 pipeline.process_frames(cmd[1])
             elif op == "shm":
-                _, data_op, offset, length, consumed_after = cmd
+                _, offset, length, consumed_after = cmd
                 buf = ring.view(offset, length)
                 try:
-                    if data_op == "block":
-                        _ingest_packed_block(pipeline, buf)
-                    else:
-                        _ingest_packed_frames(pipeline, buf)
+                    _ingest_packed_block(pipeline, buf)
                 finally:
                     # Nothing still points into the span (promotion
                     # copies); hand the bytes back to the producer.
@@ -227,8 +210,6 @@ def _worker_main(worker_id: int, bank_dir: str, options: dict,
                     ring.release(consumed_after)
             elif op == "block":
                 _ingest_packed_block(pipeline, cmd[1])
-            elif op == "pframes":
-                _ingest_packed_frames(pipeline, cmd[1])
             elif op == "tally":
                 pipeline.count_packets(cmd[1])
             elif op == "packets":
@@ -283,8 +264,8 @@ class ParallelShardedPipeline:
     own, so model arrays are never pickled through the spawn/fork.
 
     The ingest surface mirrors :class:`ShardedPipeline` —
-    ``process_packet`` / ``process_frame`` / ``process_raw`` /
-    ``process_frames`` / ``process_flows`` — and the merged views
+    ``process_packet`` / ``process_raw`` / ``process_frames`` /
+    ``process_block`` / ``process_flows`` — and the merged views
     (``counters``, ``telemetry``/``store``, ``rollup``, ``live_flows``,
     ``shard_loads``) read identically. Data calls buffer into per-worker
     chunks and return immediately; ``drain``/``flush``/``flush_idle``
@@ -301,13 +282,16 @@ class ParallelShardedPipeline:
     checkpoint (see :meth:`restore` for the worker-count-changing
     variant).
 
-    ``transport`` picks how frame bytes reach the workers:
-    ``"queue"`` (default) pickles chunks through the command queues;
-    ``"shm"`` writes packed frame blocks into one shared-memory ring
-    per worker (``ring_bytes`` each) and ships only offset descriptors
-    — same command order, same journal/recovery contract, no pickling
-    on the frame hot path. Both transports serve both the per-frame
-    and the bulk (:meth:`process_block`) ingest surfaces.
+    ``transport`` picks how :meth:`process_block` chunks reach the
+    workers: ``"queue"`` (default) pickles them through the command
+    queues; ``"shm"`` writes them into one shared-memory ring per
+    worker (``ring_bytes`` each) and ships only offset descriptors —
+    same command order, same journal/recovery contract, no pickling
+    on the block hot path. Per-frame chunks (``process_frames``) ride
+    the queue under either value, so a per-frame caller (the daemon)
+    takes ``"queue"`` and allocates no segment, and a block caller
+    (batch replay) takes ``"shm"``; see docs/ARCHITECTURE.md for the
+    measurements behind that split.
     """
 
     def __init__(self, bank_dir: str | Path, num_workers: int = 4,
@@ -536,12 +520,11 @@ class ParallelShardedPipeline:
 
     def _deliver(self, worker: int, command: tuple) -> None:
         """Physical delivery of one *logical* command. Under the shm
-        transport, ``block``/``pframes`` payload bytes go through the
-        worker's ring and only a descriptor rides the queue (keeping
-        the queue's FIFO as the single ordering authority); everything
+        transport, ``block`` payload bytes go through the worker's
+        ring and only a descriptor rides the queue (keeping the
+        queue's FIFO as the single ordering authority); everything
         else ships on the queue as-is."""
-        op = command[0]
-        if self.transport == "shm" and op in ("block", "pframes"):
+        if self.transport == "shm" and command[0] == "block":
             ring = self._rings[worker]
 
             def liveness() -> None:
@@ -549,7 +532,7 @@ class ParallelShardedPipeline:
                     raise _WorkerDied(self._death_detail(worker))
 
             offset, length, after = ring.write(command[1], liveness)
-            self._plain_put(worker, ("shm", op, offset, length, after))
+            self._plain_put(worker, ("shm", offset, length, after))
         else:
             self._plain_put(worker, command)
 
@@ -669,18 +652,9 @@ class ParallelShardedPipeline:
     def _ship(self, worker: int) -> None:
         if not self._buffers[worker]:
             return
-        kind = self._buffer_kind[worker]
         buffer = self._buffers[worker]
         self._buffers[worker] = []
-        if kind == "pframes":
-            # Frame tuples headed for the ring: pack them into the
-            # block wire format here, so journal entries are the exact
-            # bytes a replay re-writes into a fresh ring.
-            packed = FrameBlock.from_frames(buffer)
-            for chunk in packed.pack_chunks(max_bytes=self._pack_bytes):
-                self._put(worker, ("pframes", chunk))
-        else:
-            self._put(worker, (kind, buffer))
+        self._put(worker, (self._buffer_kind[worker], buffer))
 
     def _barrier(self, command: tuple) -> list:
         """Ship buffered chunks, broadcast one control command, and
@@ -736,10 +710,6 @@ class ParallelShardedPipeline:
 
     # -- raw-frame mode --------------------------------------------------------
 
-    def process_frame(self, data: bytes | bytearray | memoryview,
-                      timestamp: float = 0.0) -> None:
-        self.process_raw(RawPacket.parse(data, timestamp))
-
     def process_raw(self, raw: RawPacket) -> None:
         """Route a parsed frame view to its worker. The parent only
         parses for placement; the frame crosses the process boundary as
@@ -751,8 +721,7 @@ class ParallelShardedPipeline:
         data = raw.data
         if not isinstance(data, bytes):
             data = bytes(data)
-        kind = "pframes" if self.transport == "shm" else "frames"
-        self._enqueue(worker, kind, (data, raw.timestamp))
+        self._enqueue(worker, "frames", (data, raw.timestamp))
 
     def process_frames(self, frames: Iterable[tuple[
             bytes | bytearray | memoryview, float]]) -> int:
@@ -1007,6 +976,13 @@ class ParallelShardedPipeline:
         for process in self._workers:
             if process is not None:
                 process.join(timeout=5.0)
+        for q in (*self._cmd_queues, *self._out_queues):
+            if q is not None:
+                # Chunks still buffered for a killed worker would block
+                # the queue's feeder thread on a pipe nobody reads, and
+                # interpreter exit joins that thread.
+                q.cancel_join_thread()
+                q.close()
         self._close_rings()
         if self._resume_tmp is not None:
             shutil.rmtree(self._resume_tmp, ignore_errors=True)

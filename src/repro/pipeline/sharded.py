@@ -138,14 +138,10 @@ class ShardedPipeline:
 
     # -- raw-frame mode --------------------------------------------------------
 
-    def process_frame(self, data: bytes | bytearray | memoryview,
-                      timestamp: float = 0.0) -> None:
-        """Zero-copy ingest: parse the frame once, route the view by
-        canonical 5-tuple — the same placement the eager path gives the
-        same frame (both hash the identical canonical tuple)."""
-        self.process_raw(RawPacket.parse(data, timestamp))
-
     def process_raw(self, raw: RawPacket) -> None:
+        """Zero-copy ingest: route the parsed view by canonical 5-tuple
+        — the same placement the eager path gives the same frame (both
+        hash the identical canonical tuple)."""
         shard = _shard_of_tuple(raw.canonical_key_tuple, self.num_shards)
         self.shards[shard].process_raw(raw)
 

@@ -36,23 +36,24 @@ lock — it must answer exactly when the pipeline is wedged.
 
 from __future__ import annotations
 
-import json
 import signal
 import threading
 import time
 from pathlib import Path
 from types import FrameType
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import ConfigError, ParseError
 from repro.net.rawpacket import RawPacket
 from repro.obs import ComponentHealth, HealthReport, MetricsServer
 from repro.pipeline import checkpoint_kind
+from repro.pipeline.ingest import load_position, position_json
 from repro.pipeline.ticks import TickDriver
 from repro.service.sources import FrameSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.events import EventLog
+    from repro.obs.metrics import MetricsRegistry
     from repro.pipeline.driftwatch import ConceptDriftMonitor
     from repro.pipeline.engine import PipelineCounters
     from repro.pipeline.parallel import ParallelShardedPipeline
@@ -61,78 +62,38 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Checkpoint sidecar carrying the daemon's source position, next to
 #: the replay's ``ingest.json`` contract but for live feeds.
 SERVICE_POSITION_FILE = "service.json"
-_SERVICE_POSITION_VERSION = 1
 
 #: A checkpoint is "stale" for the health probe after this many
 #: checkpoint intervals without one landing.
 _STALE_INTERVALS = 3.0
 
 
-class ServicePosition:
+class ServicePosition(NamedTuple):
     """Where a checkpointed daemon stood: source records consumed,
     frame/skip counters, and the capture clock + eviction deadline to
     re-arm. The wall-clock checkpoint deadline is deliberately *not*
     saved — wall time moves on across a restart, so the resumed daemon
     re-arms checkpoints from its own first tick."""
 
-    def __init__(self, consumed: int, frames: int, skipped: int,
-                 clock: float | None, next_evict: float | None) -> None:
-        self.consumed = consumed
-        self.frames = frames
-        self.skipped = skipped
-        self.clock = clock
-        self.next_evict = next_evict
+    consumed: int
+    frames: int
+    skipped: int
+    clock: float | None
+    next_evict: float | None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "format_version": _SERVICE_POSITION_VERSION,
-            "consumed": self.consumed,
-            "frames": self.frames,
-            "skipped": self.skipped,
-            "clock": self.clock,
-            "next_evict": self.next_evict,
-        }, sort_keys=True, indent=1)
-
-
-def _clock_field(data: dict, key: str) -> float | None:
-    value = data[key]
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(
-            f"{key} must be a number or null, got {value!r}")
-    return float(value)
+        return position_json(self)
 
 
 def load_service_position(checkpoint_dir: str | Path) -> ServicePosition:
     """Read the source position saved alongside a daemon checkpoint;
-    :class:`ConfigError` when absent or malformed (same clock-field
-    coercion discipline as ``load_ingest_position``)."""
-    path = Path(checkpoint_dir) / SERVICE_POSITION_FILE
-    if not path.exists():
-        raise ConfigError(
-            f"checkpoint at {checkpoint_dir} has no service position "
-            f"({SERVICE_POSITION_FILE}); it was not written by "
-            f"repro serve")
-    try:
-        data = json.loads(path.read_text())
-        if data.get("format_version") != _SERVICE_POSITION_VERSION:
-            raise ConfigError(
-                f"unsupported service position format "
-                f"{data.get('format_version')!r} at {path}")
-        return ServicePosition(
-            consumed=int(data["consumed"]),
-            frames=int(data["frames"]),
-            skipped=int(data["skipped"]),
-            clock=_clock_field(data, "clock"),
-            next_evict=_clock_field(data, "next_evict"),
-        )
-    except ConfigError:
-        raise
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-            TypeError, ValueError, OSError) as exc:
-        raise ConfigError(
-            f"malformed service position at {path}: {exc}") from exc
+    :class:`ConfigError` when absent or malformed (the replay
+    sidecar's reader, pointed at ``service.json``)."""
+    return ServicePosition(**load_position(
+        checkpoint_dir, SERVICE_POSITION_FILE, "service",
+        ("clock", "next_evict"),
+        f"service position ({SERVICE_POSITION_FILE}); it was not "
+        f"written by repro serve"))
 
 
 class ServeDaemon:
@@ -193,8 +154,7 @@ class ServeDaemon:
                                         position.next_evict, None)
         else:
             self._resume_consumed = 0
-        self.server = MetricsServer(pipeline.export_metrics,
-                                    port=port, host=host,
+        self.server = MetricsServer(self.metrics, port=port, host=host,
                                     health=self.health_report)
         from repro.service.api import ServiceAPI
         ServiceAPI(self).mount_on(self.server)
@@ -266,6 +226,13 @@ class ServeDaemon:
     def rollup_cube(self) -> "RollupCube | None":
         with self._lock:
             return self._pipeline.rollup
+
+    def metrics(self) -> "MetricsRegistry":
+        # export_metrics is a worker barrier over the same command
+        # queues the ingest thread ships frames on; unlocked, a scrape
+        # interleaves with ingest and reads another command's reply.
+        with self._lock:
+            return self._pipeline.export_metrics()
 
     def drift_monitor(self) -> "ConceptDriftMonitor | None":
         # The parallel runtime keeps no parent-side monitor today;
@@ -442,7 +409,6 @@ def build_daemon(bank_dir: str | Path, source: FrameSource, *,
                  num_workers: int = 2,
                  retention: str = "rollup",
                  batch_size: int | None = None,
-                 transport: str = "queue",
                  host: str = "127.0.0.1", port: int = 0,
                  idle_timeout: float | None = None,
                  evict_interval: float | None = None,
@@ -456,7 +422,13 @@ def build_daemon(bank_dir: str | Path, source: FrameSource, *,
     checkpoint exists there (crash-restart and planned-restart share
     this one path). ``resume`` with no checkpoint present is a cold
     start, not an error — the first boot of a crash-looping unit file
-    must come up."""
+    must come up.
+
+    The daemon feeds the per-frame surface, which always rides the
+    command queues, so the runtime is built with ``transport="queue"``:
+    a ring it never writes would still cost a shared-memory segment
+    per worker and the resource-tracker process that comes with the
+    first one."""
     from repro.pipeline.parallel import ParallelShardedPipeline
 
     resume_dir: Path | None = None
@@ -466,7 +438,7 @@ def build_daemon(bank_dir: str | Path, source: FrameSource, *,
         if checkpoint_kind(checkpoint_dir) is not None:
             resume_dir = Path(checkpoint_dir)
     options: dict[str, object] = dict(
-        transport=transport, checkpoint_dir=checkpoint_dir,
+        transport="queue", checkpoint_dir=checkpoint_dir,
         metrics=True, events=events)
     if resume_dir is not None:
         pipeline = ParallelShardedPipeline.restore(

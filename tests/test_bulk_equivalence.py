@@ -1,13 +1,13 @@
 """Bulk-decode equivalence wall.
 
 The vectorized bulk path (``decode_block`` + ``process_block``) is the
-product; the eager per-record path is the oracle, exactly as in the PR 3
-raw/eager contract. On a seeded campus mix — video flows, a
-split-ClientHello flow, a VLAN-tagged slice, non-video bulk, foreign
-ARP/IPv6 frames — every runtime flavor (serial, sharded, multiprocess
-over both transports) must produce identical counters, identical
-predictions in identical order, and byte-identical rollup snapshots
-across all three ingest modes, including checkpointed and
+product; the eager per-record path is the oracle. On a seeded campus
+mix — video flows, a split-ClientHello flow, a VLAN-tagged slice,
+non-video bulk, foreign ARP/IPv6 frames — every runtime flavor (serial,
+sharded, multiprocess over both block transports) must produce
+identical counters, identical predictions in identical order, and
+byte-identical rollup snapshots across both ingest modes and the
+per-frame surface live sources feed, including checkpointed and
 killed-worker replay under the shared-memory transport.
 """
 
@@ -23,7 +23,9 @@ from repro.errors import ParseError
 from repro.ml import RandomForestClassifier
 from repro.net import (
     EthernetHeader,
+    PcapReader,
     PcapWriter,
+    RawPacket,
     TCPHeader,
     make_tcp_packet,
 )
@@ -175,8 +177,24 @@ def eager_oracle(bank, campus_pcap, tmp_path_factory):
     }
 
 
+def _feed_frames(pipeline, path):
+    """A live source's ingest loop over a capture file: every frame
+    ``RawPacket.parse`` accepts goes through ``process_frames``, the
+    rest are skipped (as ``ingest_pcap`` skips them)."""
+    def parseable(frames):
+        for data, timestamp in frames:
+            try:
+                RawPacket.parse(data, timestamp)
+            except ParseError:
+                continue
+            yield data, timestamp
+
+    with PcapReader(path) as reader:
+        return pipeline.process_frames(parseable(reader.frames()))
+
+
 class TestSerialBulk:
-    @pytest.mark.parametrize("mode", ("raw", "bulk"))
+    @pytest.mark.parametrize("mode", ("bulk",))
     def test_mode_matches_eager_oracle(self, bank, campus_pcap,
                                        eager_oracle, tmp_path, mode):
         pipeline = RealtimePipeline(bank, batch_size=8, retention="both")
@@ -189,6 +207,17 @@ class TestSerialBulk:
         assert _rollup_digest(pipeline.rollup, tmp_path, mode) == \
             eager_oracle["rollup"]
 
+    def test_per_frame_surface_matches_eager_oracle(
+            self, bank, campus_pcap, eager_oracle, tmp_path):
+        pipeline = RealtimePipeline(bank, batch_size=8, retention="both")
+        assert _feed_frames(pipeline, campus_pcap) == \
+            eager_oracle["result"].frames
+        pipeline.flush()
+        assert asdict(pipeline.counters) == eager_oracle["counters"]
+        assert _rows(pipeline.store) == eager_oracle["rows"]
+        assert _rollup_digest(pipeline.rollup, tmp_path, "frames") == \
+            eager_oracle["rollup"]
+
     def test_oracle_exercises_the_hard_shapes(self, eager_oracle):
         counters = eager_oracle["counters"]
         assert counters["video_flows"] > 0
@@ -197,7 +226,7 @@ class TestSerialBulk:
 
     def test_strict_mode_rejects_foreign_frames_in_both_paths(
             self, bank, campus_pcap):
-        for mode in ("raw", "bulk"):
+        for mode in ("eager", "bulk"):
             with pytest.raises(ParseError):
                 ingest_pcap(RealtimePipeline(bank), campus_pcap,
                             mode=mode, strict=True)
@@ -225,19 +254,20 @@ class TestShardedBulk:
     def test_bulk_equals_raw_per_shard_count(self, bank, campus_pcap,
                                              eager_oracle, tmp_path,
                                              shards):
-        runs = {}
-        for mode in ("raw", "bulk"):
+        def state(feed, tag):
             pipeline = ShardedPipeline(bank, num_shards=shards,
                                        batch_size=8, retention="both")
-            ingest_pcap(pipeline, campus_pcap, mode=mode)
+            feed(pipeline, campus_pcap)
             pipeline.flush()
-            runs[mode] = (asdict(pipeline.counters),
-                          _rows(pipeline.telemetry),
-                          _rollup_digest(pipeline.rollup, tmp_path,
-                                         f"{mode}-{shards}"))
-        assert runs["bulk"] == runs["raw"]
-        assert runs["bulk"][0] == eager_oracle["counters"]
-        assert sorted(map(repr, runs["bulk"][1])) == \
+            return (asdict(pipeline.counters), _rows(pipeline.telemetry),
+                    _rollup_digest(pipeline.rollup, tmp_path,
+                                   f"{tag}-{shards}"))
+
+        raw = state(_feed_frames, "raw")  # the per-frame surface
+        bulk = state(ingest_pcap, "bulk")
+        assert bulk == raw
+        assert bulk[0] == eager_oracle["counters"]
+        assert sorted(map(repr, bulk[1])) == \
             sorted(map(repr, eager_oracle["rows"]))
 
 
@@ -259,7 +289,7 @@ class TestParallelBulk:
         # bytes as the serial dispatcher with the same shard count.
         serial = ShardedPipeline(bank, num_shards=workers, batch_size=8,
                                  retention="both")
-        ingest_pcap(serial, campus_pcap, mode="raw")
+        ingest_pcap(serial, campus_pcap)
         serial.flush()
         assert par_digest == _rollup_digest(serial.rollup, tmp_path,
                                             "serial")
@@ -279,14 +309,33 @@ class TestParallelBulk:
         assert states["queue"] == states["shm"]
         assert states["shm"][0] == eager_oracle["counters"]
 
-    def test_killed_worker_replay_under_shm_bulk(self, bank_dir,
-                                                 campus_pcap,
-                                                 eager_oracle,
-                                                 campus_frames,
-                                                 tmp_path):
-        """The PR 5 crash contract holds with frames riding the shm
-        ring: SIGKILL a worker mid-capture, journal replay on the
-        respawn must restore the oracle state exactly."""
+    @pytest.mark.parametrize("transport", ("queue", "shm"))
+    def test_checkpointed_replay_resumes_under_both_transports(
+            self, bank_dir, campus_pcap, eager_oracle, tmp_path,
+            transport):
+        """Whole-process death after a checkpoint tick: the restored
+        fleet replays the tail and lands on the oracle bytes, however
+        its blocks travel."""
+        ck = tmp_path / "ck"
+        victim = ParallelShardedPipeline(bank_dir, num_workers=2,
+                                         batch_size=8,
+                                         transport=transport)
+        try:
+            ingest_pcap(victim, campus_pcap, checkpoint_dir=ck,
+                        checkpoint_interval=5.0)
+        finally:
+            victim.terminate()
+        with ParallelShardedPipeline.restore(
+                ck, bank_dir, transport=transport) as resumed:
+            ingest_pcap(resumed, campus_pcap, checkpoint_dir=ck,
+                        resume_dir=ck, checkpoint_interval=5.0)
+            resumed.flush()
+            assert asdict(resumed.counters) == eager_oracle["counters"]
+            assert sorted(map(repr, _rows(resumed.telemetry))) == \
+                sorted(map(repr, eager_oracle["rows"]))
+
+    def _kill_worker_mid_capture(self, transport, bank_dir,
+                                 eager_oracle, campus_frames, tmp_path):
         half_path = tmp_path / "half.pcap"
         half = len(campus_frames) // 2
         with PcapWriter(half_path) as writer:
@@ -297,7 +346,7 @@ class TestParallelBulk:
             for data, timestamp in campus_frames[half:]:
                 writer.write_bytes(data, timestamp)
         with ParallelShardedPipeline(bank_dir, num_workers=2,
-                                     batch_size=8, transport="shm",
+                                     batch_size=8, transport=transport,
                                      checkpoint_dir=tmp_path / "jrn"
                                      ) as par:
             ingest_pcap(par, half_path, mode="bulk")
@@ -310,3 +359,22 @@ class TestParallelBulk:
             assert asdict(par.counters) == eager_oracle["counters"]
             assert sorted(map(repr, _rows(par.telemetry))) == \
                 sorted(map(repr, eager_oracle["rows"]))
+
+    def test_killed_worker_replay_under_shm_bulk(self, bank_dir,
+                                                 campus_pcap,
+                                                 eager_oracle,
+                                                 campus_frames,
+                                                 tmp_path):
+        """The PR 5 crash contract holds with frames riding the shm
+        ring: SIGKILL a worker mid-capture, journal replay on the
+        respawn must restore the oracle state exactly."""
+        self._kill_worker_mid_capture("shm", bank_dir, eager_oracle,
+                                      campus_frames, tmp_path)
+
+    def test_killed_worker_replay_under_queue_bulk(self, bank_dir,
+                                                   eager_oracle,
+                                                   campus_frames,
+                                                   tmp_path):
+        """...and with the same blocks pickled through the queue."""
+        self._kill_worker_mid_capture("queue", bank_dir, eager_oracle,
+                                      campus_frames, tmp_path)

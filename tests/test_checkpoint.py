@@ -132,9 +132,12 @@ class _CrashAfter:
             raise _Crash()
         self._left -= 1
 
-    def process_raw(self, raw):
-        self._tick()
-        self._pipeline.process_raw(raw)
+    def process_block(self, decoded):
+        # A span the budget cannot cover dies before any of it lands.
+        if self._left < len(decoded):
+            raise _Crash()
+        self._left -= len(decoded)
+        self._pipeline.process_block(decoded)
 
     def process_packet(self, packet):
         self._tick()
@@ -218,7 +221,7 @@ class TestIngestResume:
         return dict(idle_timeout=span / 3,
                     checkpoint_interval=span / 6)
 
-    @pytest.mark.parametrize("mode", ("raw", "eager"))
+    @pytest.mark.parametrize("mode", ("bulk", "eager"))
     @pytest.mark.parametrize("crash_at", (120, 260))
     def test_serial_resume_identical(self, bank, campus_frames,
                                      campus_pcap, tmp_path, mode,

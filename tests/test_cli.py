@@ -104,23 +104,44 @@ class TestCliWorkflow:
                      "--save-rollup", str(workspace / "r")]) == 2
         assert "--save-rollup requires" in capsys.readouterr().err
 
-    def test_classify_raw_and_eager_ingest_agree(self, workspace,
-                                                 trained_bank_dir,
-                                                 capsys):
+    def test_classify_bulk_and_eager_ingest_agree(self, workspace,
+                                                  trained_bank_dir,
+                                                  capsys):
         dataset_dir = workspace / "ingest-dataset"
         assert main(["export-dataset", "--out", str(dataset_dir),
                      "--scale", "0.03", "--seed", "4"]) == 0
         capsys.readouterr()
         assert main(["classify", "--bank", str(trained_bank_dir),
+                     "--pcap", str(dataset_dir / "flows.pcap")]) == 0
+        default_out = capsys.readouterr().out
+        assert main(["classify", "--bank", str(trained_bank_dir),
                      "--pcap", str(dataset_dir / "flows.pcap"),
-                     "--ingest", "raw"]) == 0
-        raw_out = capsys.readouterr().out
+                     "--ingest", "bulk"]) == 0
+        assert capsys.readouterr().out == default_out  # the default
         assert main(["classify", "--bank", str(trained_bank_dir),
                      "--pcap", str(dataset_dir / "flows.pcap"),
                      "--ingest", "eager"]) == 0
-        eager_out = capsys.readouterr().out
-        assert raw_out == eager_out
-        assert "Classified" in raw_out
+        assert capsys.readouterr().out == default_out
+        assert "Classified" in default_out
+
+    def test_removed_replay_knobs_are_argparse_errors(self, capsys):
+        """``--ingest raw`` and ``--transport`` went with the paths
+        they selected; the caller's surface picks the transport."""
+        replay = ["--bank", "b", "--pcap", "x.pcap"]
+        for argv, message in (
+                (["classify", *replay, "--ingest", "raw"],
+                 "invalid choice: 'raw'"),
+                (["classify", *replay, "--transport", "shm"],
+                 "unrecognized arguments: --transport"),
+                (["campus", *replay, "--transport", "queue"],
+                 "unrecognized arguments: --transport"),
+                (["serve", "--bank", "b", "--source", "tail:x.pcap",
+                  "--transport", "shm"],
+                 "unrecognized arguments: --transport")):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_campus_replays_pcap_through_packet_path(self, workspace,
                                                      trained_bank_dir,

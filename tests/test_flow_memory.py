@@ -242,11 +242,11 @@ class TestEvictedFlowReappears:
             return pipeline.counters, records
 
         eager = result_of(RealtimePipeline(bank), "eager")
-        raw = result_of(RealtimePipeline(bank), "raw")
-        sharded = result_of(ShardedPipeline(bank, num_shards=3), "raw")
+        bulk = result_of(RealtimePipeline(bank), "bulk")
+        sharded = result_of(ShardedPipeline(bank, num_shards=3), "bulk")
         with ParallelShardedPipeline(bank_dir, num_workers=3) as par:
-            parallel = result_of(par, "raw")
-        assert eager == raw == sharded == parallel
+            parallel = result_of(par, "bulk")
+        assert eager == bulk == sharded == parallel
         counters, records = eager
         assert counters.flows == 2  # evicted + reappeared = two flows
         assert counters.video_flows == 2

@@ -641,8 +641,8 @@ class TestCliObservability:
             events = root / f"events-{workers}.jsonl"
             rc = main(["classify", "--bank", str(bank_dir),
                        "--pcap", str(pcap),
-                       "--workers", str(workers), "--transport", "shm",
-                       "--ingest", "bulk", "--idle-timeout", "120",
+                       "--workers", str(workers),
+                       "--idle-timeout", "120",
                        "--metrics-out", str(prom),
                        "--event-log", str(events), "--limit", "2"])
             assert rc == 0

@@ -297,7 +297,7 @@ class TestQuicInitialMutations:
                                     40000 + i, 443,
                                     payload=datagram).to_bytes()
             eager.process_packet(Packet.from_bytes(frame, float(i)))
-            raw.process_frame(frame, float(i))
+            raw.process_raw(RawPacket.parse(frame, float(i)))
         eager.flush()
         raw.flush()
         assert eager.counters == raw.counters

@@ -310,6 +310,16 @@ class TestSocketStreamSource:
 
 # --- positions --------------------------------------------------------------
 
+# The sidecar bytes the parent of the loader merge (PR 18) wrote: its
+# checkpoints must keep resuming, and ours must stay readable by it.
+_PR17_SERVICE_JSON = (
+    '{\n "clock": 12.5,\n "consumed": 7,\n "format_version": 1,\n'
+    ' "frames": 5,\n "next_evict": 20.0,\n "skipped": 2\n}')
+_PR17_INGEST_JSON = (
+    '{\n "clock": 5.0,\n "consumed": 3,\n "format_version": 1,\n'
+    ' "frames": 3,\n "next_checkpoint": 300.0,\n "next_evict": null,\n'
+    ' "skipped": 0\n}')
+
 
 class TestServicePosition:
     def _write(self, tmp_path, **overrides):
@@ -321,11 +331,9 @@ class TestServicePosition:
     def test_roundtrip(self, tmp_path):
         position = ServicePosition(consumed=7, frames=5, skipped=2,
                                    clock=12.5, next_evict=20.0)
-        (tmp_path / SERVICE_POSITION_FILE).write_text(position.to_json())
-        loaded = load_service_position(tmp_path)
-        assert (loaded.consumed, loaded.frames, loaded.skipped) == \
-            (7, 5, 2)
-        assert (loaded.clock, loaded.next_evict) == (12.5, 20.0)
+        assert position.to_json() == _PR17_SERVICE_JSON
+        (tmp_path / SERVICE_POSITION_FILE).write_text(_PR17_SERVICE_JSON)
+        assert load_service_position(tmp_path) == position
 
     def test_absent_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="no service position"):
@@ -334,6 +342,11 @@ class TestServicePosition:
     def test_wrong_version_rejected(self, tmp_path):
         self._write(tmp_path, format_version=99)
         with pytest.raises(ConfigError, match="unsupported"):
+            load_service_position(tmp_path)
+
+    def test_non_object_sidecar_rejected(self, tmp_path):
+        (tmp_path / SERVICE_POSITION_FILE).write_text("[1]")
+        with pytest.raises(ConfigError, match="malformed"):
             load_service_position(tmp_path)
 
     def test_null_clocks_pass(self, tmp_path):
@@ -359,6 +372,12 @@ class TestIngestPositionCoercion:
                 "next_checkpoint": 300.0}
         data.update(overrides)
         (tmp_path / "ingest.json").write_text(json.dumps(data))
+
+    def test_parent_written_sidecar_roundtrips(self, tmp_path):
+        (tmp_path / "ingest.json").write_text(_PR17_INGEST_JSON)
+        position = load_ingest_position(tmp_path)
+        assert position == (3, 3, 0, 5.0, None, 300.0)
+        assert position.to_json() == _PR17_INGEST_JSON
 
     def test_numeric_and_null_pass(self, tmp_path):
         self._write(tmp_path, clock=5, next_evict=None)
@@ -398,7 +417,51 @@ class _ExplodingSource(FrameSource):
         return "exploding:"
 
 
+class _BusySource(FrameSource):
+    """An endless feed whose capture clock jumps past the eviction
+    interval on every frame, so the ingest thread spends its life in
+    ``flush_idle`` worker barriers — the traffic a scrape must not
+    interleave with."""
+
+    def __init__(self, frames):
+        super().__init__()
+        self._frames = frames
+
+    def poll(self, max_frames=256, timeout=0.2):
+        base = self.consumed
+        batch = [(self._frames[(base + i) % len(self._frames)],
+                  float(base + i)) for i in range(8)]
+        self.consumed += len(batch)
+        return batch
+
+    def describe(self):
+        return "busy:"
+
+
 class TestServeDaemon:
+    def test_metrics_scrape_under_ingest_never_fails(self, bank_dir,
+                                                     golden_parts):
+        """``GET /metrics`` is a worker barrier like every ``/api``
+        read: collected outside the daemon lock it raced the ingest
+        thread's barriers on the worker queues, answered ``500 collect
+        failed`` and flipped ``/readyz`` to ``unhealthy: collect``."""
+        _, records = golden_parts
+        frames = [record[16:] for record in records[:64]]
+        daemon = build_daemon(bank_dir, _BusySource(frames),
+                              num_workers=2, retention="rollup",
+                              idle_timeout=2.0, poll_timeout=0.01)
+        with daemon:
+            port = daemon.server.port
+            for _ in range(60):
+                status_code, body = _get(port, "/metrics")
+                assert status_code == 200, body
+            assert b"repro_packets_total" in body
+            status_code, body = _get(port, "/healthz")
+            assert status_code == 200, body
+            assert {c["component"]: c["healthy"] for c in
+                    json.loads(body)["components"]}["collect"]
+            assert _get(port, "/readyz")[0] == 200
+
     def test_live_report_matches_batch_oracle(self, bank_dir, oracle,
                                               tmp_path, golden_parts):
         header, records = golden_parts

@@ -20,7 +20,8 @@ from multiprocessing.shared_memory import SharedMemory
 import pytest
 
 from repro.ml import RandomForestClassifier
-from repro.net import PcapWriter, TCPHeader, make_tcp_packet
+from repro.net import PcapReader, PcapWriter, TCPHeader, make_tcp_packet
+from repro.net.rawpacket import decode_block
 from repro.pipeline import (
     TRANSPORTS,
     ClassifierBank,
@@ -162,7 +163,7 @@ def capture(bank, tmp_path_factory):
         for p in packets:
             writer.write_bytes(p.to_bytes(), p.timestamp)
     oracle = ShardedPipeline(bank, num_shards=2, batch_size=4)
-    ingest_pcap(oracle, path, mode="raw")
+    ingest_pcap(oracle, path, mode="eager")
     oracle.flush()
     rows = sorted((str(r.key), r.prediction.status,
                    r.prediction.platform) for r in oracle.store)
@@ -238,3 +239,25 @@ class TestShmPipeline:
         with ParallelShardedPipeline(bank_dir, num_workers=1,
                                      transport="queue") as par:
             assert all(ring is None for ring in par._rings)
+
+    def test_rings_carry_blocks_only(self, bank_dir, capture):
+        """``transport`` is how *blocks* travel: per-frame chunks ride
+        the command queue under either value (measured faster there,
+        see docs/ARCHITECTURE.md), so a shm runtime fed through
+        ``process_frames`` never touches its rings, while
+        ``process_block`` advances them."""
+        path, counters, rows = capture
+        with ParallelShardedPipeline(bank_dir, num_workers=2,
+                                     batch_size=4,
+                                     transport="shm") as par:
+            with PcapReader(path) as reader:
+                par.process_frames(reader.frames())
+            par.flush()
+            assert [ring.written for ring in par._rings] == [0, 0]
+            assert asdict(par.counters) == counters
+            assert _rows(par) == rows
+            with PcapReader(path) as reader:
+                for block in reader.blocks():
+                    par.process_block(decode_block(block))
+            par.drain()
+            assert all(ring.written > 0 for ring in par._rings)
