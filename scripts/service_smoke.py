@@ -3,9 +3,12 @@
 Drives the real CLI entry point the way an operator (or a unit file)
 would: train a small bank, start the daemon tailing a growing copy of
 the committed golden capture, wait for readiness, query the §5.2
-rollup API, then SIGTERM it and assert a clean drain — exit 0 and a
-resumable checkpoint on disk — before resuming once to prove the
-restart path boots.
+rollup API, flush and hold the live daemon to the equivalence contract
+at operator level — every appended record accounted for, and ``GET
+/api/report`` byte-identical to ``repro campus --pcap`` + ``repro
+report`` over the same capture and bank — then SIGTERM it and assert a
+clean drain — exit 0 and a resumable checkpoint on disk — before
+resuming once to prove the restart path boots.
 
 Run:  PYTHONPATH=src python scripts/service_smoke.py
 """
@@ -40,10 +43,13 @@ def split_records(pcap: bytes) -> tuple[bytes, list[bytes]]:
     return header, records
 
 
-def get(port: int, path: str) -> tuple[int, bytes]:
+def get(port: int, path: str, data: bytes | None = None
+        ) -> tuple[int, bytes]:
+    """GET ``path``, or POST ``data`` to it when given."""
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}{path}", data=data)
     try:
-        with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}{path}", timeout=10) as resp:
+        with urllib.request.urlopen(request, timeout=10) as resp:
             return resp.status, resp.read()
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read()
@@ -92,6 +98,20 @@ def drained(port: int, target: int):
     return status if done else None
 
 
+def batch_report(bank: Path, work: Path) -> bytes:
+    """What the batch CLI says about the golden capture: ``repro
+    campus --pcap`` saving its rollup, then ``repro report`` over it."""
+    snap = work / "batch-rollup"
+    assert cli("campus", "--bank", str(bank), "--pcap", str(GOLDEN),
+               "--retention", "rollup", "--save-rollup", str(snap),
+               stdout=subprocess.DEVNULL).wait() == 0
+    report = cli("report", "--rollup", str(snap),
+                 stdout=subprocess.PIPE)
+    out, _ = report.communicate()
+    assert report.returncode == 0
+    return out
+
+
 def terminate(process: subprocess.Popen) -> int:
     process.send_signal(signal.SIGTERM)
     try:
@@ -129,6 +149,15 @@ def main() -> int:
         assert json.loads(body)["format_version"] == 1
         assert get(port, "/api/report")[0] == 200
         assert get(port, "/healthz")[0] == 200
+        print("[smoke] flush -> live report vs batch CLI ...")
+        assert get(port, "/api/flush", data=b"")[0] == 200
+        status = json.loads(get(port, "/api/status")[1])
+        assert status["frames"] + status["skipped"] == len(records), \
+            (status, len(records))
+        code, live_report = get(port, "/api/report")
+        assert code == 200, live_report
+        assert live_report == batch_report(bank, work), \
+            "live /api/report differs from campus --pcap + report"
         print("[smoke] SIGTERM -> graceful drain ...")
     finally:
         exit_code = terminate(process)

@@ -254,8 +254,10 @@ def _build_pipeline(args: argparse.Namespace, obs: _Obs):
 
     Worker processes are fed over the shared-memory rings
     (``transport="shm"``): a replay ships blocks, and blocks are
-    cheaper through the ring than pickled. ``serve`` ships frames and
-    takes the queue instead (see ``build_daemon``)."""
+    cheaper through the ring than pickled. ``serve`` ships blocks too
+    but takes the queue: the ring's segments and resource tracker cost
+    more resident memory than its daemon can spare (see
+    ``build_daemon``)."""
     if args.workers > 1 and args.shards > 1:
         print("--workers (multiprocess) and --shards (in-process) are "
               "alternative runtimes; pick one", file=sys.stderr)

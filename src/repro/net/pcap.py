@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
-import numpy as np
-
 from repro.errors import ParseError
 from repro.net.packet import Packet
 from repro.net.rawpacket import FrameBlock, RawPacket
@@ -24,6 +22,12 @@ MAGIC_USEC = 0xA1B2C3D4
 LINKTYPE_ETHERNET = 1
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
+
+#: Upper bound on one frame's byte length accepted from any source.
+#: Jumbo frames top out under 10 KB; anything bigger means a corrupt
+#: length field (mid-file truncation, a confused forwarder) and must
+#: not turn into a giant allocation.
+MAX_FRAME_BYTES = 262_144
 
 
 @dataclass(frozen=True)
@@ -157,43 +161,34 @@ class PcapReader:
         headers skipped by offset, frame bytes never copied); a record
         straddling a read boundary is carried into the next chunk, and
         a record larger than ``chunk_bytes`` grows the carry until it
-        fits. Truncation raises the same :class:`ParseError` classes as
-        :meth:`frames`.
+        fits — up to :data:`MAX_FRAME_BYTES`, past which the length is
+        corrupt (:func:`walk_records`). Truncation raises the same
+        :class:`ParseError` classes as :meth:`frames`.
         """
         read = self._file.read
-        header_size = self._record.size
-        unpack_from = self._record.unpack_from
+        record = self._record
         tail = b""
+        origin = _GLOBAL_HEADER.size  # file offset of chunk[0]
         while True:
             data = read(chunk_bytes)
             if not data:
                 if tail:
-                    if len(tail) < header_size:
+                    if len(tail) < record.size:
                         raise ParseError("truncated pcap record header")
                     raise ParseError("truncated pcap record body")
                 self._file.close()
                 return
             chunk = tail + data if tail else data
-            n = len(chunk)
             offset = 0
-            starts: list[int] = []
-            ends: list[int] = []
-            times: list[float] = []
-            while offset + header_size <= n:
-                sec, usec, incl_len, _ = unpack_from(chunk, offset)
-                body = offset + header_size
-                if body + incl_len > n:
+            while True:
+                block, offset = walk_records(chunk, offset, record,
+                                             max_frames, origin)
+                if block:
+                    yield block
+                if len(block) < max_frames:
                     break
-                starts.append(body)
-                ends.append(body + incl_len)
-                times.append(sec + usec / 1_000_000)
-                offset = body + incl_len
-                if len(starts) >= max_frames:
-                    yield _make_block(chunk, starts, ends, times)
-                    starts, ends, times = [], [], []
-            if starts:
-                yield _make_block(chunk, starts, ends, times)
             tail = chunk[offset:]
+            origin += offset
 
     def raw_packets(self) -> Iterator[RawPacket]:
         """Stream each record as a zero-copy :class:`RawPacket` view —
@@ -212,12 +207,50 @@ class PcapReader:
         self.close()
 
 
-def _make_block(chunk: bytes, starts: list[int], ends: list[int],
-                times: list[float]) -> FrameBlock:
-    return FrameBlock(chunk,
-                      np.asarray(starts, dtype=np.int64),
-                      np.asarray(ends, dtype=np.int64),
-                      np.asarray(times, dtype=np.float64))
+def walk_records(buf: bytes, offset: int, record: struct.Struct,
+                 max_frames: int, origin: int = 0
+                 ) -> tuple[FrameBlock, int]:
+    """Walk pcap record headers over ``buf`` from ``offset``: the
+    complete records found (at most ``max_frames``) as one
+    :class:`FrameBlock` addressing ``buf`` — frame bytes never copied —
+    and the offset of the first record not taken. The one record walk
+    under ``src/``: :meth:`PcapReader.blocks` runs it over read chunks,
+    the daemon's tail source over whatever a growing file holds.
+
+    ``record`` is the file's ``IIII`` header struct in its byte order;
+    ``origin`` is the file offset of ``buf[0]``, for error text only.
+    A record whose length exceeds :data:`MAX_FRAME_BYTES` is corrupt,
+    not merely incomplete, and raises :class:`ParseError` — checked
+    only where the walk stops for lack of bytes (the per-record loop
+    pays nothing for it), and only with nothing walked before it, so
+    the records ahead of a corrupt one are delivered first and the
+    error surfaces on the next call, which starts at that record. (A
+    corrupt length small enough to fit inside ``buf`` passes as one
+    frame; the walk then resumes on garbage, whose "length" trips
+    this check.)
+    """
+    n = len(buf)
+    header_size = record.size
+    unpack_from = record.unpack_from
+    starts: list[int] = []
+    ends: list[int] = []
+    times: list[float] = []
+    while offset + header_size <= n:
+        sec, usec, incl_len, _ = unpack_from(buf, offset)
+        body = offset + header_size
+        if body + incl_len > n:
+            if incl_len > MAX_FRAME_BYTES and not starts:
+                raise ParseError(
+                    f"pcap record claims {incl_len} bytes at offset "
+                    f"{origin + offset}; corrupt capture")
+            break
+        starts.append(body)
+        ends.append(body + incl_len)
+        times.append(sec + usec / 1_000_000)
+        offset = body + incl_len
+        if len(starts) >= max_frames:
+            break
+    return FrameBlock.from_ranges(buf, starts, ends, times), offset
 
 
 def write_pcap(path: str | Path, packets: Iterable[Packet]) -> int:

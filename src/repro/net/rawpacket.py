@@ -275,8 +275,9 @@ class FrameBlock:
     def from_frames(cls, frames: Iterable[tuple[
             bytes | bytearray | memoryview, float]]) -> "FrameBlock":
         """Pack an iterable of ``(frame bytes, timestamp)`` pairs into
-        one contiguous block (testing/benchmark convenience; streaming
-        callers get blocks from ``PcapReader.blocks()``)."""
+        one contiguous block (for feeds that arrive a frame at a time
+        — the AF_PACKET source, tests; streaming readers build blocks
+        over their read buffer instead, ``net.pcap.walk_records``)."""
         datas, times = [], []
         for data, timestamp in frames:
             datas.append(bytes(data))
@@ -285,6 +286,17 @@ class FrameBlock:
                            count=len(datas))
         ends = np.cumsum(lens)
         return cls(b"".join(datas), ends - lens, ends,
+                   np.asarray(times, dtype=np.float64))
+
+    @classmethod
+    def from_ranges(cls, buf: bytes | memoryview, starts: list[int],
+                    ends: list[int], times: list[float]
+                    ) -> "FrameBlock":
+        """A block over ``buf`` from the per-frame byte ranges and
+        timestamps a record walk collected as plain lists."""
+        return cls(buf,
+                   np.asarray(starts, dtype=np.int64),
+                   np.asarray(ends, dtype=np.int64),
                    np.asarray(times, dtype=np.float64))
 
     def __len__(self) -> int:

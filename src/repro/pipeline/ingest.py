@@ -8,9 +8,12 @@ default, and what the CLI uses) streams whole
 original per-record ``Packet.from_bytes`` path alive as the equivalence
 oracle. Both produce identical counters, predictions, and telemetry on
 the same file (``tests/test_bulk_equivalence.py`` and
-``tests/test_golden_trace.py`` pin this). The per-frame surface
-(``process_raw``/``process_frames``) is what *live* sources feed; a
-replay has no use for it, so it is not an ingest mode.
+``tests/test_golden_trace.py`` pin this). The per-block body of the
+bulk path is :func:`ingest_block`, which the ``repro serve`` daemon
+calls with the blocks its live sources poll — a live feed and a
+replay share one tick-slicing implementation. The per-frame surface
+(``process_raw``/``process_frames``) has no product caller and is not
+an ingest mode.
 
 Real captures carry frames the pipeline cannot use — ARP, IPv6, LLDP,
 mangled records. By default those are skipped and tallied rather than
@@ -53,12 +56,12 @@ import numpy as np
 from repro.errors import ConfigError, ParseError
 from repro.net.packet import Packet
 from repro.net.pcap import PcapReader
-from repro.net.rawpacket import decode_block
+from repro.net.rawpacket import FrameBlock, decode_block
 from repro.pipeline.ticks import TickDriver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.events import EventLog
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import MetricsRegistry, Span
     from repro.pipeline.engine import RealtimePipeline
     from repro.pipeline.parallel import ParallelShardedPipeline
     from repro.pipeline.sharded import ShardedPipeline
@@ -325,22 +328,8 @@ def _replay_blocks(pipeline: "RealtimePipeline | ShardedPipeline | "
                    account: Callable[[int, int], None]) -> int:
     """The ``mode="bulk"`` body of :func:`ingest_pcap`: stream the
     capture as :class:`~repro.net.FrameBlock` chunks through
-    ``pipeline.process_block``. Returns the unskipped remainder of
-    ``to_skip``, like :func:`_replay_packets`.
-
-    Per-frame observable order is preserved exactly — the capture
-    clock is the running max of *all* timestamps (skipped frames too),
-    eviction/checkpoint deadlines arm on the first clock advance, each
-    tick fires *before* the frame that crossed its deadline is
-    processed, and a strict-mode :class:`ParseError` surfaces after
-    every preceding frame has been processed. All of that ordering
-    lives in ``driver`` (:class:`~repro.pipeline.ticks.TickDriver`);
-    this loop's own job is finding the spans *between* ticks: blocks
-    are split at event frames (``np.searchsorted`` over the running
-    max against the driver's armed deadlines), so a tick-free block is
-    one ``process_block`` call.
-    """
-    track_clock = driver.active
+    :func:`ingest_block`. Returns the unskipped remainder of
+    ``to_skip``, like :func:`_replay_packets`."""
     decode_span = None if registry is None else registry.timed(
         "repro_stage_seconds", _STAGE_HELP, {"stage": "block_decode"})
     for block in reader.blocks():
@@ -353,61 +342,92 @@ def _replay_blocks(pipeline: "RealtimePipeline | ShardedPipeline | "
                 continue
             block = block.slice(to_skip, len(block))
             to_skip = 0
-        if decode_span is not None:
-            with decode_span:
-                decoded = decode_block(block)
-        else:
-            decoded = decode_block(block)
-        times = block.timestamps
-        runmax = np.maximum.accumulate(times)
-        if driver.clock is not None:
-            runmax = np.maximum(runmax, driver.clock)
-        n = len(block)
-        pos = 0
-        while pos < n:
-            if track_clock:
-                # Frame-``pos`` events, in per-frame order: clock
-                # advance + deadline arming, eviction tick,
-                # checkpoint tick.
-                driver.advance(float(runmax[pos]))
-            if strict and not decoded.valid[pos]:
-                # Ticks at this frame fired above; now fail with
-                # the per-frame path's exact error.
-                decoded.raise_invalid(pos)
-            # Find the next event frame after ``pos``; everything
-            # before it is one uninterrupted span.
-            cut = n
-            if track_clock:
-                if (driver.next_evict is None and
-                        driver.evict_interval is not None) or \
-                        (driver.next_checkpoint is None and
-                         driver.checkpoint_interval is not None):
-                    # A deadline is still unarmed: it arms at the
-                    # next clock advance.
-                    ahead = times[pos + 1:] > driver.clock
-                    if ahead.any():
-                        cut = min(cut,
-                                  pos + 1 + int(np.argmax(ahead)))
-                for deadline in (driver.next_evict,
-                                 driver.next_checkpoint):
-                    if deadline is not None:
-                        cut = min(cut, pos + 1 + int(
-                            np.searchsorted(runmax[pos + 1:],
-                                            deadline)))
-            if strict:
-                bad = np.nonzero(~decoded.valid[pos:cut])[0]
-                if bad.size:
-                    # bad[0] > 0: an invalid frame *at* pos raised
-                    # above, so the span below is never empty.
-                    cut = pos + int(bad[0])
-            span = decoded if pos == 0 and cut == n \
-                else decoded.slice(pos, cut)
-            pipeline.process_block(span)
-            account(cut - pos, span.valid_count)
-            if track_clock and cut > pos:
-                # Catch the clock up to the span's end; by the cut
-                # construction no deadline lies inside the span, so
-                # this advance can never fire a tick.
-                driver.advance(float(runmax[cut - 1]))
-            pos = cut
+        ingest_block(pipeline, block, driver, account, strict,
+                     decode_span)
     return to_skip
+
+
+def ingest_block(pipeline: "RealtimePipeline | ShardedPipeline | "
+                           "ParallelShardedPipeline",
+                 block: FrameBlock, driver: TickDriver,
+                 account: Callable[[int, int], None],
+                 strict: bool = False,
+                 decode_span: "Span | None" = None) -> None:
+    """One :class:`~repro.net.FrameBlock` through
+    ``pipeline.process_block``, cut at ``driver``'s deadlines — the
+    per-block body of a bulk replay *and* of the serve daemon's ingest
+    loop, so live eviction order is the batch order by construction.
+    ``account(records, good)`` is called once per span, before any
+    later tick can fire, so a checkpoint taken mid-block saves an
+    exact position.
+
+    Per-frame observable order is preserved exactly — the capture
+    clock is the running max of *all* timestamps (skipped frames too),
+    eviction/checkpoint deadlines arm on the first clock advance, each
+    tick fires *before* the frame that crossed its deadline is
+    processed, and a strict-mode :class:`ParseError` surfaces after
+    every preceding frame has been processed. All of that ordering
+    lives in ``driver`` (:class:`~repro.pipeline.ticks.TickDriver`);
+    this function's own job is finding the spans *between* ticks: the
+    block is split at event frames (``np.searchsorted`` over the
+    running max against the driver's armed deadlines), so a tick-free
+    block is one ``process_block`` call.
+    """
+    track_clock = driver.active
+    if decode_span is not None:
+        with decode_span:
+            decoded = decode_block(block)
+    else:
+        decoded = decode_block(block)
+    times = block.timestamps
+    runmax = np.maximum.accumulate(times)
+    if driver.clock is not None:
+        runmax = np.maximum(runmax, driver.clock)
+    n = len(block)
+    pos = 0
+    while pos < n:
+        if track_clock:
+            # Frame-``pos`` events, in per-frame order: clock
+            # advance + deadline arming, eviction tick,
+            # checkpoint tick.
+            driver.advance(float(runmax[pos]))
+        if strict and not decoded.valid[pos]:
+            # Ticks at this frame fired above; now fail with
+            # the per-frame path's exact error.
+            decoded.raise_invalid(pos)
+        # Find the next event frame after ``pos``; everything
+        # before it is one uninterrupted span.
+        cut = n
+        if track_clock:
+            if (driver.next_evict is None and
+                    driver.evict_interval is not None) or \
+                    (driver.next_checkpoint is None and
+                     driver.checkpoint_interval is not None):
+                # A deadline is still unarmed: it arms at the
+                # next clock advance.
+                ahead = times[pos + 1:] > driver.clock
+                if ahead.any():
+                    cut = min(cut,
+                              pos + 1 + int(np.argmax(ahead)))
+            for deadline in (driver.next_evict,
+                             driver.next_checkpoint):
+                if deadline is not None:
+                    cut = min(cut, pos + 1 + int(
+                        np.searchsorted(runmax[pos + 1:],
+                                        deadline)))
+        if strict:
+            bad = np.nonzero(~decoded.valid[pos:cut])[0]
+            if bad.size:
+                # bad[0] > 0: an invalid frame *at* pos raised
+                # above, so the span below is never empty.
+                cut = pos + int(bad[0])
+        span = decoded if pos == 0 and cut == n \
+            else decoded.slice(pos, cut)
+        pipeline.process_block(span)
+        account(cut - pos, span.valid_count)
+        if track_clock and cut > pos:
+            # Catch the clock up to the span's end; by the cut
+            # construction no deadline lies inside the span, so
+            # this advance can never fire a tick.
+            driver.advance(float(runmax[cut - 1]))
+        pos = cut

@@ -2,11 +2,15 @@
 
 A batch replay owns its capture file start to finish; a service owns a
 *feed* that outlives any one read. Every source here presents the same
-tiny surface — ``open()``, ``poll(max_frames, timeout)`` returning
-``[(frame bytes, timestamp), ...]``, ``close()`` — so the daemon's
-ingest loop is source-agnostic, and a bounded ``poll`` (never blocking
-past its timeout) is what lets that loop interleave wall-clock
-checkpoint ticks and shutdown checks with ingest.
+tiny surface — ``open()``, ``poll(max_frames, timeout)`` returning one
+:class:`~repro.net.rawpacket.FrameBlock` (empty, hence falsy, when the
+feed is idle), ``close()`` — so the daemon's ingest loop is
+source-agnostic and hands each poll straight to the vectorised
+``decode_block``/``process_block`` path a batch replay runs. A bounded
+``poll`` (never blocking past its timeout, never more than
+``max_frames`` frames or one read buffer) is what lets that loop
+interleave wall-clock checkpoint ticks, API reads and shutdown checks
+with ingest.
 
 Three implementations, selected by ``open_source`` spec strings:
 
@@ -43,16 +47,21 @@ from pathlib import Path
 from typing import BinaryIO
 
 from repro.errors import ConfigError, ParseError
-from repro.net.pcap import LINKTYPE_ETHERNET, MAGIC_USEC
-
-#: Upper bound on one frame's byte length accepted from any source.
-#: Jumbo frames top out under 10 KB; anything bigger means a corrupt
-#: length field (mid-file truncation, a confused forwarder) and must
-#: not turn into a giant allocation.
-MAX_FRAME_BYTES = 262_144
+from repro.net.pcap import (
+    LINKTYPE_ETHERNET,
+    MAGIC_USEC,
+    MAX_FRAME_BYTES,
+    walk_records,
+)
+from repro.net.rawpacket import FrameBlock
 
 _GLOBAL_HEADER_SIZE = 24
-_RECORD_HEADER_SIZE = 16
+
+#: Bytes the tail source reads per poll — ``PcapReader.blocks``' chunk
+#: size. It bounds a block (and so one hold of the daemon's lock)
+#: however large the file behind it is, and always holds at least one
+#: whole record (:data:`MAX_FRAME_BYTES` + header).
+_TAIL_READ_BYTES = 1 << 20
 
 #: ``socket:`` wire header: capture timestamp (IEEE double, seconds)
 #: + frame byte length, network order, then the frame bytes.
@@ -60,15 +69,20 @@ STREAM_FRAME_HEADER = struct.Struct("!dI")
 
 _ETH_P_ALL = 0x0003
 
+#: What an idle poll returns: no frames, falsy.
+_EMPTY_BLOCK = FrameBlock.from_frames(())
+
 
 class FrameSource:
-    """Base class: a feed of ``(frame bytes, capture timestamp)``.
+    """Base class: a feed of frame blocks.
 
     Lifecycle is ``open()`` → repeated ``poll()`` → ``close()``;
-    sources are also context managers. ``poll`` returns between 0 and
-    ``max_frames`` frames and never blocks longer than ~``timeout``
-    seconds — an empty list is the idle heartbeat the daemon uses to
-    run wall-clock ticks. :attr:`consumed` counts every frame ever
+    sources are also context managers. ``poll`` returns one
+    :class:`FrameBlock` of between 0 and ``max_frames`` frames (bytes
+    + capture timestamps, in feed order) and never blocks longer than
+    ~``timeout`` seconds — an empty block is falsy, the idle heartbeat
+    the daemon uses to run wall-clock ticks. :attr:`consumed` advances
+    by exactly ``len(block)`` per poll: it counts every frame ever
     returned (plus, for seekable sources, records skipped on resume).
     """
 
@@ -79,7 +93,7 @@ class FrameSource:
         pass
 
     def poll(self, max_frames: int = 256,
-             timeout: float = 0.2) -> list[tuple[bytes, float]]:
+             timeout: float = 0.2) -> FrameBlock:
         raise NotImplementedError
 
     def skip(self, records: int) -> None:
@@ -108,10 +122,13 @@ class FrameSource:
 class PcapTailSource(FrameSource):
     """Follow a growing pcap file, across truncation and rotation.
 
-    The write frontier is racy by nature: a record header may be
-    visible before its body, or the global header before any record.
-    Every short read seeks back to the record boundary and retries on
-    a later poll — nothing is ever half-consumed. Rotation is detected
+    Each poll reads one buffer at the current offset and runs the
+    shared record walk (:func:`repro.net.pcap.walk_records`) over it —
+    no per-record ``read``. The write frontier is racy by nature: a
+    record header may be visible before its body, or the global header
+    before any record. The walk stops at the first incomplete record
+    and the handle seeks back to that record boundary, to retry on a
+    later poll — nothing is ever half-consumed. Rotation is detected
     by the path's inode changing; the old handle is drained to EOF
     before switching, so frames written just before the rotation are
     never dropped. In-place truncation (size below our offset on the
@@ -183,25 +200,19 @@ class PcapTailSource(FrameSource):
             return "truncated"
         return None
 
-    def _read_record(self) -> tuple[bytes, float] | None:
-        """One complete record, or None at the (possibly temporary)
-        EOF. Partial reads rewind to the record boundary."""
+    def _read_block(self, max_frames: int) -> FrameBlock:
+        """The complete records at the current offset — at most
+        ``max_frames``, at most one read buffer — leaving the handle
+        on the boundary of the first record not taken. Empty at the
+        (possibly temporary) EOF."""
         assert self._fh is not None and self._record is not None
         mark = self._fh.tell()
-        raw = self._fh.read(_RECORD_HEADER_SIZE)
-        if len(raw) < _RECORD_HEADER_SIZE:
-            self._fh.seek(mark)
-            return None
-        sec, usec, incl_len, _ = self._record.unpack(raw)
-        if incl_len > MAX_FRAME_BYTES:
-            raise ParseError(
-                f"pcap record claims {incl_len} bytes at offset "
-                f"{mark} of {self.path}; corrupt capture")
-        data = self._fh.read(incl_len)
-        if len(data) < incl_len:
-            self._fh.seek(mark)
-            return None
-        return data, sec + usec / 1_000_000
+        buf = self._fh.read(_TAIL_READ_BYTES)
+        block, taken = walk_records(buf, 0, self._record, max_frames,
+                                    mark)
+        if taken < len(buf):
+            self._fh.seek(mark + taken)
+        return block
 
     # -- FrameSource surface -----------------------------------------------
 
@@ -209,31 +220,24 @@ class PcapTailSource(FrameSource):
         self._try_open()
 
     def poll(self, max_frames: int = 256,
-             timeout: float = 0.2) -> list[tuple[bytes, float]]:
+             timeout: float = 0.2) -> FrameBlock:
         deadline = time.monotonic() + timeout
-        out: list[tuple[bytes, float]] = []
         while True:
             if self._fh is None:
                 self._try_open()
             if self._fh is not None:
-                while len(out) < max_frames:
-                    record = self._read_record()
-                    if record is None:
-                        break
-                    out.append(record)
-                if len(out) < max_frames:
-                    # Only probe rotation at EOF: while records keep
-                    # coming, the current file is the feed regardless
-                    # of what the path points at.
-                    if self._rotated_or_truncated() is not None:
-                        self._reopen()
-                        if not out:
-                            continue
-            if out:
-                self.consumed += len(out)
-                return out
+                block = self._read_block(max_frames)
+                if block:
+                    self.consumed += len(block)
+                    return block
+                # Only probe rotation at EOF: while records keep
+                # coming, the current file is the feed regardless of
+                # what the path points at.
+                if self._rotated_or_truncated() is not None:
+                    self._reopen()
+                    continue
             if time.monotonic() >= deadline:
-                return out
+                return _EMPTY_BLOCK
             time.sleep(min(self.poll_interval,
                            max(0.0, deadline - time.monotonic())))
 
@@ -246,10 +250,10 @@ class PcapTailSource(FrameSource):
         while remaining:
             if self._fh is None and not self._try_open():
                 break
-            record = self._read_record()
-            if record is None:
+            block = self._read_block(remaining)
+            if not block:
                 break
-            remaining -= 1
+            remaining -= len(block)
         if remaining:
             raise ConfigError(
                 f"cannot resume: {self.path} holds fewer records than "
@@ -283,7 +287,7 @@ class SocketStreamSource(FrameSource):
         self._requested_port = port
         self._listener: socket.socket | None = None
         self._conn: socket.socket | None = None
-        self._buffer = b""
+        self._buffer = bytearray()
 
     def open(self) -> None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -304,21 +308,19 @@ class SocketStreamSource(FrameSource):
         if self._conn is not None:
             self._conn.close()
             self._conn = None
-        self._buffer = b""
+        self._buffer = bytearray()
 
     def poll(self, max_frames: int = 256,
-             timeout: float = 0.2) -> list[tuple[bytes, float]]:
+             timeout: float = 0.2) -> FrameBlock:
         assert self._listener is not None, "open() first"
         deadline = time.monotonic() + timeout
-        out: list[tuple[bytes, float]] = []
-        header = STREAM_FRAME_HEADER
         while True:
             if self._conn is None:
                 try:
                     conn, _ = self._listener.accept()
                 except TimeoutError:
                     if time.monotonic() >= deadline:
-                        return out
+                        return _EMPTY_BLOCK
                     continue
                 conn.settimeout(0.05)
                 self._conn = conn
@@ -326,28 +328,53 @@ class SocketStreamSource(FrameSource):
                 chunk = self._conn.recv(1 << 16)
                 if not chunk:  # orderly peer shutdown
                     self._drop_peer()
-                    chunk = b""
             except TimeoutError:
                 chunk = b""
             except OSError:
                 self._drop_peer()
                 chunk = b""
-            if chunk:
+            else:
                 self._buffer += chunk
-            while len(out) < max_frames and \
-                    len(self._buffer) >= header.size:
-                timestamp, length = header.unpack_from(self._buffer)
-                if length > MAX_FRAME_BYTES:
-                    self._drop_peer()
-                    break
-                end = header.size + length
-                if len(self._buffer) < end:
-                    break
-                out.append((self._buffer[header.size:end], timestamp))
-                self._buffer = self._buffer[end:]
-            if out or time.monotonic() >= deadline:
-                self.consumed += len(out)
-                return out
+            block = self._take_block(max_frames)
+            if block or time.monotonic() >= deadline:
+                self.consumed += len(block)
+                return block
+
+    def _take_block(self, max_frames: int) -> FrameBlock:
+        """The complete frames at the head of the receive buffer (at
+        most ``max_frames``) as one block over one copy of their
+        bytes; the buffer is walked by offset and trimmed once. An
+        oversize length drops the peer and the rest of the buffer —
+        after the frames ahead of it are taken."""
+        buffer = self._buffer
+        header = STREAM_FRAME_HEADER
+        n = len(buffer)
+        offset = 0
+        starts: list[int] = []
+        ends: list[int] = []
+        times: list[float] = []
+        oversize = False
+        while len(starts) < max_frames and offset + header.size <= n:
+            timestamp, length = header.unpack_from(buffer, offset)
+            if length > MAX_FRAME_BYTES:
+                oversize = True
+                break
+            body = offset + header.size
+            if body + length > n:
+                break
+            starts.append(body)
+            ends.append(body + length)
+            times.append(timestamp)
+            offset = body + length
+        if not starts:
+            block = _EMPTY_BLOCK
+        else:
+            block = FrameBlock.from_ranges(bytes(buffer[:offset]),
+                                           starts, ends, times)
+            del buffer[:offset]
+        if oversize:
+            self._drop_peer()
+        return block
 
     def close(self) -> None:
         self._drop_peer()
@@ -392,7 +419,7 @@ class AFPacketSource(FrameSource):
         self._sock = sock
 
     def poll(self, max_frames: int = 256,
-             timeout: float = 0.2) -> list[tuple[bytes, float]]:
+             timeout: float = 0.2) -> FrameBlock:
         assert self._sock is not None, "open() first"
         deadline = time.monotonic() + timeout
         out: list[tuple[bytes, float]] = []
@@ -405,7 +432,7 @@ class AFPacketSource(FrameSource):
                 continue
             out.append((data, time.time()))
         self.consumed += len(out)
-        return out
+        return FrameBlock.from_frames(out)
 
     def close(self) -> None:
         if self._sock is not None:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ParseError
+from repro.net.pcap import MAX_FRAME_BYTES, walk_records
 from repro.net import (
     FlowKey,
     Packet,
@@ -127,6 +128,63 @@ class TestPcap:
         with PcapReader(path) as reader:
             with pytest.raises(ParseError):
                 list(reader)
+
+    def test_blocks_reject_corrupt_record_length(self, tmp_path):
+        """A corrupt length mid-capture used to grow the carry by one
+        chunk per read until the rest of the file sat in memory, then
+        report a truncated body. Now: the records ahead of it come out,
+        then a ``corrupt capture`` error naming the offset — within a
+        couple of chunks of the record, however much file follows."""
+        path = tmp_path / "corrupt.pcap"
+        with PcapWriter(path) as writer:
+            for i in range(5):
+                writer.write_bytes(bytes([i]) * 60, 1.0 + i)
+        corrupt_at = path.stat().st_size
+        with open(path, "ab") as f:
+            f.write(struct.pack("<IIII", 7, 0, 1 << 30, 1 << 30))
+            f.write(b"\x00" * (1 << 20))
+        chunk_bytes = 4096
+        with PcapReader(path) as reader:
+            blocks = reader.blocks(chunk_bytes=chunk_bytes)
+            first = next(blocks)
+            assert [first.frame_bytes(i) for i in range(len(first))] == \
+                [bytes([i]) * 60 for i in range(5)]
+            with pytest.raises(
+                    ParseError,
+                    match=f"claims {1 << 30} bytes at offset "
+                          f"{corrupt_at}.*corrupt capture"):
+                next(blocks)
+            assert reader._file.tell() <= corrupt_at + 2 * chunk_bytes
+
+    def test_blocks_carry_a_large_record_up_to_the_bound(self, tmp_path):
+        """A record bigger than the read chunk still grows the carry
+        until it fits — the bound only rejects lengths no frame has."""
+        path = tmp_path / "large.pcap"
+        big = b"\x5a" * MAX_FRAME_BYTES
+        with PcapWriter(path) as writer:
+            writer.write_bytes(b"\x01" * 60, 1.0)
+            writer.write_bytes(big, 2.0)
+            writer.write_bytes(b"\x02" * 60, 3.0)
+        with PcapReader(path) as reader:
+            frames = [block.frame_bytes(i)
+                      for block in reader.blocks(chunk_bytes=4096)
+                      for i in range(len(block))]
+        assert frames == [b"\x01" * 60, big, b"\x02" * 60]
+
+    def test_walk_records_stops_at_max_frames_and_partial(self):
+        record = struct.Struct("<IIII")
+        buf = b"".join(record.pack(i, 500_000, 4, 4) + bytes([i]) * 4
+                       for i in range(6))
+        block, offset = walk_records(buf, 0, record, 4)
+        assert len(block) == 4 and offset == 4 * 20
+        assert block.timestamps.tolist() == [0.5, 1.5, 2.5, 3.5]
+        # ... resumes where it stopped, and leaves a partial record.
+        block, offset = walk_records(buf[:-1], offset, record, 4)
+        assert [block.frame_bytes(i) for i in range(len(block))] == \
+            [b"\x04" * 4]
+        assert offset == 5 * 20
+        block, offset = walk_records(buf[:105], offset, record, 4)
+        assert not block and offset == 100
 
     def test_context_manager_closes(self, tmp_path):
         path = tmp_path / "cm.pcap"

@@ -12,13 +12,16 @@ The two load-bearing contracts:
   away, never report an all-clear they cannot back.
 """
 
+import hashlib
 import json
 import os
+import random
 import signal
 import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -28,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigError, ParseError
+from repro.net.rawpacket import FrameBlock
 from repro.pipeline import (
     RealtimePipeline,
     ingest_pcap,
@@ -49,6 +53,7 @@ from repro.service import (
     open_source,
 )
 from repro.service.sources import FrameSource
+from repro.telemetry.snapshot import save_rollup
 
 from golden.make_golden_trace import train_bank
 
@@ -88,11 +93,71 @@ def golden_parts():
 @pytest.fixture(scope="module")
 def oracle(bank_dir):
     """The uninterrupted batch run every live test compares against."""
+    return _batch_oracle(bank_dir)
+
+
+def _frames(block: FrameBlock) -> list[tuple[bytes, float]]:
+    """A polled block as the ``(frame bytes, timestamp)`` pairs it
+    carries, in order."""
+    return [(block.frame_bytes(i), float(block.timestamps[i]))
+            for i in range(len(block))]
+
+
+def _record_frames(records: list[bytes]) -> list[tuple[bytes, float]]:
+    """What a tail source must deliver for these full record bytes."""
+    out = []
+    for record in records:
+        sec, usec, incl_len, _ = _RECORD_HEADER.unpack_from(record)
+        out.append((record[16:16 + incl_len], sec + usec / 1_000_000))
+    return out
+
+
+def _drain(source, max_frames: int = 4096) -> list[tuple[bytes, float]]:
+    """Poll until idle, checking the poll contract on every block:
+    at most ``max_frames`` frames, ``consumed`` up by ``len(block)``."""
+    out = []
+    while True:
+        before = source.consumed
+        block = source.poll(max_frames=max_frames, timeout=0.0)
+        assert len(block) <= max_frames
+        assert source.consumed == before + len(block)
+        if not block:
+            return out
+        out.extend(_frames(block))
+
+
+def _rollup_digest(cube, path: Path) -> str:
+    save_rollup(cube, path)
+    return hashlib.sha256((path / "rollup.json").read_bytes()).hexdigest()
+
+
+def _batch_oracle(bank_dir, mode: str = "bulk", **knobs):
+    """A serial batch replay of the golden capture, flushed."""
     pipeline = RealtimePipeline(load_bank(bank_dir), batch_size=8,
                                 retention="rollup")
-    result = ingest_pcap(pipeline, GOLDEN)
+    result = ingest_pcap(pipeline, GOLDEN, mode=mode, **knobs)
     pipeline.flush()
     return pipeline, result
+
+
+def _assert_live_matches(daemon, oracle_pipeline, oracle_result,
+                         tmp_path) -> None:
+    """The live ≡ batch contract, after the operator's flush: status
+    frame tallies, every counter, the §5.2 report bytes and the
+    rollup snapshot digest."""
+    port = daemon.server.port
+    status = json.loads(_get(port, "/api/status")[1])
+    assert (status["frames"], status["skipped"]) == \
+        (oracle_result.frames, oracle_result.skipped)
+    assert status["consumed"] == status["frames"] + status["skipped"]
+    assert _post(port, "/api/flush")[0] == 200
+    counters = json.loads(_get(port, "/api/counters")[1])
+    expected = asdict(oracle_pipeline.counters)
+    assert {k: counters[k] for k in expected} == expected
+    assert _get(port, "/api/report?limit=6")[1].decode() == \
+        render_rollup_report(oracle_pipeline.rollup, limit=6)
+    assert _rollup_digest(daemon.rollup_cube(), tmp_path / "live") == \
+        _rollup_digest(oracle_pipeline.rollup, tmp_path / "batch")
 
 
 def _get(port: int, path: str) -> tuple[int, bytes]:
@@ -175,15 +240,17 @@ class TestPcapTailSource:
             assert len(second) == 2
             assert source.consumed == 5
         # Frame bytes and timestamps come straight from the records.
-        sec, usec, incl_len, _ = _RECORD_HEADER.unpack_from(records[0])
-        assert first[0][0] == records[0][16:16 + incl_len]
-        assert first[0][1] == pytest.approx(sec + usec / 1e6)
+        assert isinstance(first, FrameBlock)
+        assert _frames(first) == _record_frames(records[:3])
+        assert _frames(second) == _record_frames(records[3:5])
 
     def test_waits_for_file_to_appear(self, tmp_path, golden_parts):
         header, records = golden_parts
         live = tmp_path / "late.pcap"
         with PcapTailSource(live) as source:
-            assert source.poll(max_frames=10, timeout=0.05) == []
+            idle = source.poll(max_frames=10, timeout=0.05)
+            assert isinstance(idle, FrameBlock) and not idle
+            assert source.consumed == 0
             live.write_bytes(header + records[0])
             assert len(source.poll(max_frames=10, timeout=0.5)) == 1
 
@@ -194,11 +261,11 @@ class TestPcapTailSource:
         # Record header visible, body still in the writer's buffer.
         live.write_bytes(header + records[0][:20])
         with PcapTailSource(live) as source:
-            assert source.poll(max_frames=10, timeout=0.05) == []
+            assert not source.poll(max_frames=10, timeout=0.05)
             with live.open("ab") as fh:
                 fh.write(records[0][20:])
             frames = source.poll(max_frames=10, timeout=0.5)
-            assert len(frames) == 1
+            assert _frames(frames) == _record_frames(records[:1])
 
     def test_rotation_drains_old_then_follows_new(self, tmp_path,
                                                   golden_parts):
@@ -234,8 +301,8 @@ class TestPcapTailSource:
             source.skip(3)
             assert source.consumed == 3
             frames = source.poll(max_frames=10, timeout=0.5)
-            assert len(frames) == 2
-            assert frames[0][0] == records[3][16:]
+            assert _frames(frames) == _record_frames(records[3:5])
+            assert source.consumed == 5
 
     def test_skip_past_eof_rejected(self, tmp_path, golden_parts):
         header, records = golden_parts
@@ -260,6 +327,102 @@ class TestPcapTailSource:
             with pytest.raises(ParseError, match="corrupt"):
                 source.poll(max_frames=1, timeout=0.2)
 
+    def test_records_before_corrupt_length_delivered_first(
+            self, tmp_path, golden_parts):
+        """A corrupt length mid-buffer: the records walked before it
+        in the same read come out first, then the error surfaces — at
+        the corrupt record's file offset."""
+        header, records = golden_parts
+        live = tmp_path / "corrupt-mid.pcap"
+        good = header + b"".join(records[:3])
+        live.write_bytes(good + _RECORD_HEADER.pack(
+            1, 0, 1 << 30, 1 << 30) + b"\x00" * 4096)
+        with PcapTailSource(live) as source:
+            block = source.poll(max_frames=10, timeout=0.2)
+            assert _frames(block) == _record_frames(records[:3])
+            assert source.consumed == 3
+            with pytest.raises(
+                    ParseError,
+                    match=f"claims {1 << 30} bytes at offset "
+                          f"{len(good)}.*corrupt"):
+                source.poll(max_frames=10, timeout=0.2)
+            assert source.consumed == 3
+
+    @pytest.mark.parametrize("max_frames", (1, 7, 100))
+    def test_poll_never_exceeds_max_frames(self, tmp_path, golden_parts,
+                                           max_frames):
+        """(f) ``poll(max_frames=N)`` returns at most ``N`` frames and
+        ``consumed`` advances by exactly ``len(block)``; the handle is
+        left on a record boundary, so nothing repeats or goes missing
+        whatever ``N`` cuts the read buffer into."""
+        header, records = golden_parts
+        live = tmp_path / "bounded.pcap"
+        live.write_bytes(header + b"".join(records[:150]))
+        with PcapTailSource(live) as source:
+            assert _drain(source, max_frames) == \
+                _record_frames(records[:150])
+            assert source.consumed == 150
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_random_byte_slices_deliver_every_record_once(
+            self, tmp_path, golden_parts, seed):
+        """The capture appended in random-sized byte slices that cut
+        inside the global header, record headers and bodies: whatever
+        the write frontier looks like at each poll, every record comes
+        out exactly once, in order, byte-identical."""
+        header, records = golden_parts
+        data = header + b"".join(records)
+        rng = random.Random(seed)
+        live = tmp_path / "sliced.pcap"
+        live.write_bytes(b"")
+        got = []
+        with PcapTailSource(live) as source, live.open("ab") as fh:
+            offset = 0
+            while offset < len(data):
+                step = rng.choice((1, 3, 15, 16, 17, 200, 1500,
+                                   rng.randint(1, 30_000)))
+                fh.write(data[offset:offset + step])
+                fh.flush()
+                offset += step
+                got.extend(_drain(source, rng.choice((1, 5, 64, 4096))))
+            assert source.consumed == len(records)
+        assert got == _record_frames(records)
+
+    def test_rotation_mid_file_drains_old_inode_first(self, tmp_path,
+                                                      golden_parts):
+        """(c) The path re-points at a new inode while the source is
+        only part-way through the old file: the rest of the old inode
+        comes out first, then the new file from its top — nothing
+        lost, nothing twice."""
+        header, records = golden_parts
+        live = tmp_path / "rotating.pcap"
+        live.write_bytes(header + b"".join(records[:200]))
+        with PcapTailSource(live) as source:
+            got = _frames(source.poll(max_frames=50, timeout=0.5))
+            assert len(got) == 50
+            live.rename(tmp_path / "rotating.pcap.1")
+            fresh = tmp_path / "fresh.pcap"
+            fresh.write_bytes(header + b"".join(records[200:300]))
+            fresh.rename(live)
+            got.extend(_drain(source, 64))
+            assert got == _record_frames(records[:300])
+            assert source.consumed == 300
+
+    def test_truncation_mid_file_rereads_from_top(self, tmp_path,
+                                                  golden_parts):
+        """(c) A restarted capture truncates the file in place while
+        the source sits mid-file: what was already delivered is not
+        repeated, the new content is read from its top."""
+        header, records = golden_parts
+        live = tmp_path / "truncated.pcap"
+        live.write_bytes(header + b"".join(records[:100]))
+        with PcapTailSource(live) as source:
+            got = _frames(source.poll(max_frames=30, timeout=0.5))
+            assert len(got) == 30
+            live.write_bytes(header + b"".join(records[100:105]))
+            got.extend(_drain(source, 64))
+            assert got == _record_frames(records[:30] + records[100:105])
+
 
 # --- socket stream ----------------------------------------------------------
 
@@ -276,7 +439,9 @@ class TestSocketStreamSource:
                 peer.sendall(_stream_frame(b"\x01\x02\x03", 10.5)
                              + _stream_frame(b"\x04", 11.0))
                 frames = source.poll(max_frames=10, timeout=2.0)
-            assert frames == [(b"\x01\x02\x03", 10.5), (b"\x04", 11.0)]
+            assert isinstance(frames, FrameBlock)
+            assert _frames(frames) == [(b"\x01\x02\x03", 10.5),
+                                       (b"\x04", 11.0)]
             assert source.consumed == 2
 
     def test_survives_peer_disconnect(self):
@@ -291,7 +456,7 @@ class TestSocketStreamSource:
                                            source.port)) as peer:
                 peer.sendall(_stream_frame(b"b", 2.0))
                 frames = source.poll(max_frames=10, timeout=2.0)
-            assert frames == [(b"b", 2.0)]
+            assert _frames(frames) == [(b"b", 2.0)]
 
     def test_oversize_length_drops_peer(self):
         with SocketStreamSource(port=0) as source:
@@ -299,13 +464,79 @@ class TestSocketStreamSource:
                                            source.port)) as peer:
                 peer.sendall(STREAM_FRAME_HEADER.pack(
                     1.0, MAX_FRAME_BYTES + 1))
-                assert source.poll(max_frames=10, timeout=0.3) == []
+                assert not source.poll(max_frames=10, timeout=0.3)
                 # protocol violation: the server hung up on us
                 peer.settimeout(5.0)
                 try:
                     assert peer.recv(1) == b""
                 except OSError:
                     pass  # RST is also a hangup
+
+    def test_lying_length_mid_stream_keeps_frames_before_it(self):
+        """A forwarder that lies about a length mid-stream: the frames
+        parsed ahead of the lie in the same poll are still returned
+        (and are all ``consumed`` counts), the peer is dropped, and
+        what it sent after the lie is discarded — the next forwarder
+        starts on a clean buffer."""
+        good = [(bytes([i]) * (i + 1), float(i)) for i in range(3)]
+        with SocketStreamSource(port=0) as source:
+            with socket.create_connection(("127.0.0.1",
+                                           source.port)) as peer:
+                peer.sendall(
+                    b"".join(_stream_frame(d, t) for d, t in good)
+                    + STREAM_FRAME_HEADER.pack(9.0, MAX_FRAME_BYTES + 1)
+                    + _stream_frame(b"after the lie", 10.0))
+                block = source.poll(max_frames=10, timeout=2.0)
+                assert _frames(block) == good
+                assert source.consumed == 3
+                peer.settimeout(5.0)
+                try:
+                    assert peer.recv(1) == b""
+                except OSError:
+                    pass  # RST is also a hangup
+            with socket.create_connection(("127.0.0.1",
+                                           source.port)) as peer:
+                peer.sendall(_stream_frame(b"fresh", 11.0))
+                block = source.poll(max_frames=10, timeout=2.0)
+            assert _frames(block) == [(b"fresh", 11.0)]
+            assert source.consumed == 4
+
+    def test_header_split_across_sends(self):
+        """A frame header cut by the forwarder's ``send`` boundary is
+        held in the receive buffer until the rest arrives."""
+        second = _stream_frame(b"second frame", 2.0)
+        with SocketStreamSource(port=0) as source:
+            with socket.create_connection(("127.0.0.1",
+                                           source.port)) as peer:
+                peer.sendall(_stream_frame(b"first", 1.0) + second[:5])
+                block = source.poll(max_frames=10, timeout=2.0)
+                assert _frames(block) == [(b"first", 1.0)]
+                assert not source.poll(max_frames=10, timeout=0.1)
+                peer.sendall(second[5:])
+                block = source.poll(max_frames=10, timeout=2.0)
+            assert _frames(block) == [(b"second frame", 2.0)]
+            assert source.consumed == 2
+
+    def test_poll_never_exceeds_max_frames(self):
+        """(f) for the socket source: a burst larger than
+        ``max_frames`` comes out over several polls, in order, with
+        ``consumed`` advancing by ``len(block)`` each time."""
+        burst = [(bytes([i % 251]) * 40, float(i)) for i in range(500)]
+        with SocketStreamSource(port=0) as source:
+            with socket.create_connection(("127.0.0.1",
+                                           source.port)) as peer:
+                peer.sendall(b"".join(_stream_frame(d, t)
+                                      for d, t in burst))
+                got = []
+                deadline = time.monotonic() + 10
+                while len(got) < len(burst) and \
+                        time.monotonic() < deadline:
+                    before = source.consumed
+                    block = source.poll(max_frames=64, timeout=0.5)
+                    assert len(block) <= 64
+                    assert source.consumed == before + len(block)
+                    got.extend(_frames(block))
+            assert got == burst
 
 
 # --- positions --------------------------------------------------------------
@@ -410,7 +641,7 @@ class _ExplodingSource(FrameSource):
     def poll(self, max_frames=256, timeout=0.2):
         self.polls += 1
         if self.polls == 1:
-            return [(b"\x00" * 20, 1.0)]
+            return FrameBlock.from_frames([(b"\x00" * 20, 1.0)])
         raise RuntimeError("feed exploded")
 
     def describe(self):
@@ -432,10 +663,38 @@ class _BusySource(FrameSource):
         batch = [(self._frames[(base + i) % len(self._frames)],
                   float(base + i)) for i in range(8)]
         self.consumed += len(batch)
-        return batch
+        return FrameBlock.from_frames(batch)
 
     def describe(self):
         return "busy:"
+
+
+class _ListSource(FrameSource):
+    """A list-backed feed: one block of up to ``size`` frames per
+    released permit, so a test decides exactly where block boundaries
+    fall and what happens between them. ``before_return`` runs inside
+    ``poll`` after ``consumed`` has advanced — the window in which the
+    daemon has taken a block but not yet ingested it."""
+
+    def __init__(self, frames, size, before_return=None):
+        super().__init__()
+        self._frames = frames
+        self._size = size
+        self.permits = threading.Semaphore(0)
+        self.before_return = before_return
+
+    def poll(self, max_frames=256, timeout=0.2):
+        if not self.permits.acquire(timeout=timeout):
+            return FrameBlock.from_frames(())
+        batch = self._frames[self.consumed:
+                             self.consumed + min(self._size, max_frames)]
+        self.consumed += len(batch)
+        if self.before_return is not None:
+            self.before_return()
+        return FrameBlock.from_frames(batch)
+
+    def describe(self):
+        return "list:"
 
 
 class TestServeDaemon:
@@ -501,6 +760,189 @@ class TestServeDaemon:
             assert _get(port, "/api/rollup?query=bogus")[0] == 400
             assert _get(port, "/api/nope")[0] == 404
             assert _post(port, "/api/checkpoint")[0] == 409
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_random_byte_slices_match_bulk_and_eager(
+            self, bank_dir, oracle, tmp_path, golden_parts, seed):
+        """(a) The golden capture appended to the tailed file in
+        random-sized byte slices that cut inside record headers and
+        bodies, so block boundaries fall wherever the write frontier
+        happens to be: live ≡ ``ingest_pcap(mode="bulk")`` ≡ the
+        eager oracle."""
+        header, records = golden_parts
+        oracle_pipeline, oracle_result = oracle
+        eager_pipeline, eager_result = _batch_oracle(bank_dir, "eager")
+        assert eager_result == oracle_result
+        assert eager_pipeline.counters == oracle_pipeline.counters
+        data = header + b"".join(records)
+        rng = random.Random(seed)
+        live = tmp_path / "live.pcap"
+        daemon = build_daemon(
+            bank_dir, PcapTailSource(live, poll_interval=0.001),
+            num_workers=2, retention="rollup", batch_size=8,
+            poll_timeout=0.01)
+        with daemon, live.open("ab") as fh:
+            offset = 0
+            while offset < len(data):
+                step = rng.choice((1, 15, 17, 300, 1500,
+                                   rng.randint(1, 20_000)))
+                fh.write(data[offset:offset + step])
+                fh.flush()
+                offset += step
+                time.sleep(rng.choice((0.0, 0.002)))
+            _wait_frames(daemon.server.port, len(records))
+            _assert_live_matches(daemon, eager_pipeline, eager_result,
+                                 tmp_path)
+
+    def test_eviction_deadline_inside_a_block_matches_batch(
+            self, bank_dir, tmp_path):
+        """(b) ``idle_timeout`` far shorter than one poll block's
+        capture span (the whole capture is one block): the eviction
+        deadlines fall *inside* the block and must cut it exactly
+        where the batch path cuts — same ``evicted``, same bytes."""
+        oracle_pipeline, oracle_result = _batch_oracle(
+            bank_dir, idle_timeout=60.0)
+        assert oracle_pipeline.counters.evicted > 0
+        unbounded, _ = _batch_oracle(bank_dir)
+        assert unbounded.counters != oracle_pipeline.counters
+        daemon = build_daemon(bank_dir, open_source(f"tail:{GOLDEN}"),
+                              num_workers=2, retention="rollup",
+                              batch_size=8, idle_timeout=60.0)
+        with daemon:
+            _wait_frames(daemon.server.port,
+                         oracle_result.frames + oracle_result.skipped)
+            _assert_live_matches(daemon, oracle_pipeline, oracle_result,
+                                 tmp_path)
+
+    def test_rotation_mid_block_matches_batch(self, bank_dir, oracle,
+                                              tmp_path, golden_parts):
+        """(c) at the daemon: a rotation lands while the daemon is
+        part-way through the old file in small blocks; the old inode
+        is drained first and the result is the uninterrupted one."""
+        header, records = golden_parts
+        oracle_pipeline, oracle_result = oracle
+        live = tmp_path / "live.pcap"
+        half = len(records) // 2
+        live.write_bytes(header + b"".join(records[:half]))
+        daemon = build_daemon(bank_dir, open_source(f"tail:{live}"),
+                              num_workers=2, retention="rollup",
+                              batch_size=8, poll_timeout=0.01)
+        daemon.batch_frames = 16
+        with daemon:
+            _wait_frames(daemon.server.port, 16)
+            fresh = tmp_path / "fresh.pcap"
+            fresh.write_bytes(header + b"".join(records[half:]))
+            live.rename(tmp_path / "live.pcap.1")
+            fresh.rename(live)
+            _wait_frames(daemon.server.port, len(records))
+            _assert_live_matches(daemon, oracle_pipeline, oracle_result,
+                                 tmp_path)
+
+    def test_socket_and_list_sources_match_batch(self, bank_dir, oracle,
+                                                 tmp_path, golden_parts):
+        """(e) The same daemon, fed over the socket source and over a
+        list-backed fake: the block feed is source-agnostic."""
+        _, records = golden_parts
+        oracle_pipeline, oracle_result = oracle
+        frames = _record_frames(records)
+
+        source = SocketStreamSource(port=0)
+        daemon = build_daemon(bank_dir, source, num_workers=2,
+                              retention="rollup", batch_size=8,
+                              poll_timeout=0.05)
+        with daemon:
+            with socket.create_connection(("127.0.0.1",
+                                           source.port)) as peer:
+                peer.sendall(b"".join(_stream_frame(d, t)
+                                      for d, t in frames))
+                _wait_frames(daemon.server.port, len(records))
+            _assert_live_matches(daemon, oracle_pipeline, oracle_result,
+                                 tmp_path / "socket")
+
+        source = _ListSource(frames, size=37)
+        daemon = build_daemon(bank_dir, source, num_workers=2,
+                              retention="rollup", batch_size=8,
+                              poll_timeout=0.01)
+        with daemon:
+            for _ in range(len(frames) // 37 + 1):
+                source.permits.release()
+            _wait_frames(daemon.server.port, len(records))
+            _assert_live_matches(daemon, oracle_pipeline, oracle_result,
+                                 tmp_path / "list")
+
+    def test_checkpoint_between_blocks_resumes_exactly(
+            self, bank_dir, oracle, tmp_path, golden_parts):
+        """(d) A checkpoint taken between two blocks, then a crash
+        that loses the blocks after it: ``service.json`` ``consumed``
+        is the records delivered *and ingested* at the checkpoint,
+        and ``--resume`` over the capture ends ≡ never interrupted."""
+        header, records = golden_parts
+        oracle_pipeline, oracle_result = oracle
+        ck = tmp_path / "ck"
+        source = _ListSource(_record_frames(records), size=50)
+        daemon = build_daemon(bank_dir, source, num_workers=2,
+                              retention="rollup", batch_size=8,
+                              checkpoint_dir=ck,
+                              checkpoint_interval=3600.0,
+                              poll_timeout=0.01)
+        try:
+            daemon.start()
+            port = daemon.server.port
+            for _ in range(3):
+                source.permits.release()
+            status = _wait_frames(port, 150)
+            assert _post(port, "/api/checkpoint")[0] == 200
+            position = load_service_position(ck)
+            assert position.consumed == 150
+            assert (position.frames, position.skipped) == \
+                (status["frames"], status["skipped"])
+            # Two more blocks land after the checkpoint and die with
+            # the process.
+            source.permits.release()
+            source.permits.release()
+            _wait_frames(port, 250)
+        finally:
+            daemon._ingest_error = "killed by test"  # no final checkpoint
+            daemon.close()
+        assert load_service_position(ck).consumed == 150
+        live = tmp_path / "live.pcap"
+        live.write_bytes(header + b"".join(records))
+        daemon = build_daemon(bank_dir, open_source(f"tail:{live}"),
+                              num_workers=2, retention="rollup",
+                              batch_size=8, checkpoint_dir=ck,
+                              checkpoint_interval=3600.0, resume=True)
+        with daemon:
+            _wait_frames(daemon.server.port, len(records))
+            _assert_live_matches(daemon, oracle_pipeline, oracle_result,
+                                 tmp_path)
+
+    def test_checkpoint_never_counts_a_block_in_flight(
+            self, bank_dir, tmp_path, golden_parts):
+        """A checkpoint that takes the lock between a poll and that
+        block's ingest (``consumed`` already advanced, frames not yet
+        processed) must save the ingested position: counting the
+        in-flight block would make ``--resume`` skip frames nobody
+        processed."""
+        _, records = golden_parts
+        ck = tmp_path / "ck"
+        saved = []
+
+        def checkpoint_mid_poll():
+            daemon.checkpoint_now()
+            saved.append(load_service_position(ck))
+
+        source = _ListSource(_record_frames(records), size=40,
+                             before_return=checkpoint_mid_poll)
+        daemon = build_daemon(bank_dir, source, num_workers=2,
+                              retention="rollup", checkpoint_dir=ck,
+                              checkpoint_interval=3600.0,
+                              poll_timeout=0.01)
+        with daemon:
+            source.permits.release()
+            source.permits.release()
+            _wait_frames(daemon.server.port, 80)
+        assert [p.consumed for p in saved] == [0, 40]
+        assert all(p.consumed == p.frames + p.skipped for p in saved)
 
     def test_interrupted_resume_matches_uninterrupted(
             self, bank_dir, oracle, tmp_path, golden_parts):
