@@ -8,11 +8,14 @@ LINKTYPE_ETHERNET.
 
 from __future__ import annotations
 
+import io
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
+
+import numpy as np
 
 from repro.errors import ParseError
 from repro.net.packet import Packet
@@ -22,6 +25,11 @@ MAGIC_USEC = 0xA1B2C3D4
 LINKTYPE_ETHERNET = 1
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
+# ``incl_len`` alone, per byte order: the one field the record walk
+# reads per record.
+_INCL_LEN = {"<": struct.Struct("<8xI"), ">": struct.Struct(">8xI")}
+# Byte offsets of the 8-byte timestamp field a record header opens with.
+_STAMP_BYTES = np.arange(8)
 
 #: Upper bound on one frame's byte length accepted from any source.
 #: Jumbo frames top out under 10 KB; anything bigger means a corrupt
@@ -93,7 +101,7 @@ class PcapReader:
     """Iterate over the records of a pcap file."""
 
     def __init__(self, path: str | Path):
-        self._file: BinaryIO = open(path, "rb")
+        self._file: io.BufferedReader = open(path, "rb")
         raw = self._file.read(_GLOBAL_HEADER.size)
         if len(raw) < _GLOBAL_HEADER.size:
             raise ParseError("truncated pcap global header")
@@ -165,20 +173,28 @@ class PcapReader:
         corrupt (:func:`walk_records`). Truncation raises the same
         :class:`ParseError` classes as :meth:`frames`.
         """
-        read = self._file.read
+        readinto = self._file.readinto
         record = self._record
-        tail = b""
+        tail = bytearray()  # the partial record a chunk ended in
         origin = _GLOBAL_HEADER.size  # file offset of chunk[0]
         while True:
-            data = read(chunk_bytes)
-            if not data:
-                if tail:
-                    if len(tail) < record.size:
+            # One buffer per chunk, the carried partial record copied
+            # to its head and the file read in behind it: the frames
+            # are never concatenated a second time. (No mmap: mapped
+            # file pages would count toward the process's peak RSS.)
+            carry = len(tail)
+            chunk = bytearray(carry + chunk_bytes)
+            chunk[:carry] = tail
+            got = readinto(memoryview(chunk)[carry:])
+            if not got:
+                if carry:
+                    if carry < record.size:
                         raise ParseError("truncated pcap record header")
                     raise ParseError("truncated pcap record body")
                 self._file.close()
                 return
-            chunk = tail + data if tail else data
+            if got < chunk_bytes:
+                del chunk[carry + got:]
             offset = 0
             while True:
                 block, offset = walk_records(chunk, offset, record,
@@ -207,8 +223,8 @@ class PcapReader:
         self.close()
 
 
-def walk_records(buf: bytes, offset: int, record: struct.Struct,
-                 max_frames: int, origin: int = 0
+def walk_records(buf: bytes | bytearray | memoryview, offset: int,
+                 record: struct.Struct, max_frames: int, origin: int = 0
                  ) -> tuple[FrameBlock, int]:
     """Walk pcap record headers over ``buf`` from ``offset``: the
     complete records found (at most ``max_frames``) as one
@@ -216,6 +232,11 @@ def walk_records(buf: bytes, offset: int, record: struct.Struct,
     and the offset of the first record not taken. The one record walk
     under ``src/``: :meth:`PcapReader.blocks` runs it over read chunks,
     the daemon's tail source over whatever a growing file holds.
+
+    Only ``incl_len`` decides where the next header is, so it is the
+    only field read per record in Python; the byte ranges and the
+    timestamp columns come from numpy over the collected offsets
+    (:func:`record_columns`), in the file's byte order.
 
     ``record`` is the file's ``IIII`` header struct in its byte order;
     ``origin`` is the file offset of ``buf[0]``, for error text only.
@@ -230,27 +251,47 @@ def walk_records(buf: bytes, offset: int, record: struct.Struct,
     this check.)
     """
     n = len(buf)
+    endian = record.format[0]
     header_size = record.size
-    unpack_from = record.unpack_from
-    starts: list[int] = []
-    ends: list[int] = []
-    times: list[float] = []
-    while offset + header_size <= n:
-        sec, usec, incl_len, _ = unpack_from(buf, offset)
-        body = offset + header_size
-        if body + incl_len > n:
-            if incl_len > MAX_FRAME_BYTES and not starts:
+    incl_len_at = _INCL_LEN[endian].unpack_from
+    last_header = n - header_size
+    bounds = [offset]
+    append = bounds.append
+    for _ in range(max_frames):
+        if offset > last_header:
+            break
+        (incl_len,) = incl_len_at(buf, offset)
+        end = offset + header_size + incl_len
+        if end > n:
+            if incl_len > MAX_FRAME_BYTES and len(bounds) == 1:
                 raise ParseError(
                     f"pcap record claims {incl_len} bytes at offset "
                     f"{origin + offset}; corrupt capture")
             break
-        starts.append(body)
-        ends.append(body + incl_len)
-        times.append(sec + usec / 1_000_000)
-        offset = body + incl_len
-        if len(starts) >= max_frames:
-            break
-    return FrameBlock.from_ranges(buf, starts, ends, times), offset
+        append(end)
+        offset = end
+    starts, ends, stamps = record_columns(buf, bounds, header_size,
+                                          endian + "u4")
+    # uint32 -> float64 is exact and the quotient correctly rounded:
+    # the same float ``sec + usec / 1_000_000`` gives on Python ints.
+    times = stamps[:, 0] + stamps[:, 1] / 1_000_000
+    return FrameBlock(buf, starts, ends, times), offset
+
+
+def record_columns(buf: bytes | bytearray | memoryview, bounds: list[int],
+                   header_size: int, stamp: str
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-record columns for back-to-back records whose headers open
+    with an 8-byte timestamp field: ``bounds`` is where each record
+    begins plus where the last one ends (what a lengths-only walk
+    collects). Returns the frame ``starts``/``ends`` (int64) and the
+    timestamp fields gathered at their unaligned offsets, viewed as
+    dtype ``stamp`` — shape ``(records, 8 // itemsize)``."""
+    edges = np.array(bounds, dtype=np.int64)
+    heads = edges[:-1]
+    stamps = np.frombuffer(buf, dtype=np.uint8)[
+        heads[:, None] + _STAMP_BYTES].view(stamp)
+    return heads + header_size, edges[1:], stamps
 
 
 def write_pcap(path: str | Path, packets: Iterable[Packet]) -> int:

@@ -264,8 +264,9 @@ class FrameBlock:
 
     __slots__ = ("buf", "starts", "ends", "timestamps")
 
-    def __init__(self, buf: bytes | memoryview, starts: np.ndarray,
-                 ends: np.ndarray, timestamps: np.ndarray) -> None:
+    def __init__(self, buf: bytes | bytearray | memoryview,
+                 starts: np.ndarray, ends: np.ndarray,
+                 timestamps: np.ndarray) -> None:
         self.buf = buf
         self.starts = starts
         self.ends = ends
@@ -286,17 +287,6 @@ class FrameBlock:
                            count=len(datas))
         ends = np.cumsum(lens)
         return cls(b"".join(datas), ends - lens, ends,
-                   np.asarray(times, dtype=np.float64))
-
-    @classmethod
-    def from_ranges(cls, buf: bytes | memoryview, starts: list[int],
-                    ends: list[int], times: list[float]
-                    ) -> "FrameBlock":
-        """A block over ``buf`` from the per-frame byte ranges and
-        timestamps a record walk collected as plain lists."""
-        return cls(buf,
-                   np.asarray(starts, dtype=np.int64),
-                   np.asarray(ends, dtype=np.int64),
                    np.asarray(times, dtype=np.float64))
 
     def __len__(self) -> int:
@@ -326,41 +316,39 @@ class FrameBlock:
                     max_bytes: int | None = None) -> Iterator[bytes]:
         """Serialize (a subset of) the block into one or more packed
         chunks of at most ``max_bytes`` each (a chunk always carries at
-        least one frame, however large)."""
-        view = memoryview(self.buf)
-        if indices is None:
-            indices = range(len(self.starts))
+        least one frame, however large). Column-wise: the tables are
+        array slices and only the per-frame buffer views are built in
+        Python."""
         starts, ends = self.starts, self.ends
         times = self.timestamps
-        parts: list[memoryview] = []
-        lens: list[int] = []
-        tss: list[float] = []
-        total = 0
-        for i in indices:
-            start, end = starts[i], ends[i]
-            length = int(end - start)
-            if parts and max_bytes is not None and \
-                    total + length + 12 * (len(parts) + 1) + \
-                    _PACK_HEADER.size > max_bytes:
-                yield self._pack_one(parts, lens, tss, total)
-                parts, lens, tss, total = [], [], [], 0
-            parts.append(view[start:end])
-            lens.append(length)
-            tss.append(float(times[i]))
-            total += length
-        if parts:
-            yield self._pack_one(parts, lens, tss, total)
-
-    @staticmethod
-    def _pack_one(parts, lens, tss, total) -> bytes:
-        ends = np.cumsum(np.asarray(lens, dtype=np.uint32),
-                         dtype=np.uint32)
-        return b"".join((
-            _PACK_HEADER.pack(len(parts), total),
-            ends.tobytes(),
-            np.asarray(tss, dtype=np.float64).tobytes(),
-            *parts,
-        ))
+        if indices is not None:
+            lanes = np.fromiter(indices, dtype=np.intp)
+            starts, ends, times = starts[lanes], ends[lanes], times[lanes]
+        n = len(starts)
+        if not n:
+            return
+        payload = np.cumsum(ends - starts)
+        view = memoryview(self.buf)
+        parts = [view[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+        # A chunk holding frames [lo, hi) takes header + 12 bytes of
+        # table per frame + payload; ``cost`` is that running total
+        # less the header, so the greedy cut is one search per chunk.
+        cost = payload + 12 * np.arange(1, n + 1)
+        lo = before = 0  # ``before``: payload bytes in earlier chunks
+        while lo < n:
+            hi = n
+            if max_bytes is not None:
+                room = max_bytes - _PACK_HEADER.size + before + 12 * lo
+                hi = max(lo + 1,
+                         int(np.searchsorted(cost, room, side="right")))
+            through = int(payload[hi - 1])
+            yield b"".join((
+                _PACK_HEADER.pack(hi - lo, through - before),
+                (payload[lo:hi] - before).astype(np.uint32).tobytes(),
+                times[lo:hi].tobytes(),
+                *parts[lo:hi],
+            ))
+            lo, before = hi, through
 
     @classmethod
     def unpack(cls, buf: bytes | bytearray | memoryview) -> "FrameBlock":
@@ -450,20 +438,27 @@ class DecodedBlock:
             self._https_idx = np.nonzero(self.https)[0]
         return self._https_idx
 
-    def dir_keys(self, indices: np.ndarray) -> Iterator[tuple[int, int]]:
-        """Directional numeric flow keys ``(hi, lo)`` for the given
-        frames: two uint64s packing (src, dst) and (proto, sport,
-        dport). Both directions of a flow give different keys, which is
-        fine — they are cache keys, not canonical identity; the cached
-        value is computed from :meth:`make_key` either way."""
+    def dir_key_columns(self, indices: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Directional numeric flow keys for the given frames as two
+        uint64 columns ``(hi, lo)`` packing (src, dst) and (proto,
+        sport, dport). Both directions of a flow give different keys,
+        which is fine — they are cache keys, not canonical identity;
+        the cached value is computed from :meth:`make_key` either
+        way."""
         if self._dir_hi is None:
             self._dir_hi = (self.src_u32.astype(np.uint64) << 32) \
                 | self.dst_u32
             self._dir_lo = (self.protocol.astype(np.uint64) << 32) \
                 | (self.src_port.astype(np.uint64) << 16) \
                 | self.dst_port
-        return zip(self._dir_hi[indices].tolist(),
-                   self._dir_lo[indices].tolist())
+        return self._dir_hi[indices], self._dir_lo[indices]
+
+    def dir_keys(self, indices: np.ndarray) -> Iterator[tuple[int, int]]:
+        """:meth:`dir_key_columns` as one ``(hi, lo)`` tuple per
+        frame."""
+        hi, lo = self.dir_key_columns(indices)
+        return zip(hi.tolist(), lo.tolist())
 
     def make_key(self, i: int) -> tuple:
         """``(canonical_key_tuple, src_ip, dst_ip)`` for frame ``i`` —

@@ -52,20 +52,34 @@ def partition_https_indices(decoded: DecodedBlock, num_shards: int,
     (the canonical-tuple crc32 every routing path uses), memoizing
     direction key -> shard in ``cache``. Shared by the serial
     dispatcher and the multiprocess parent so both route bulk frames
-    identically to the per-frame paths."""
-    per_shard: list[list[int]] = [[] for _ in range(num_shards)]
+    identically to the per-frame paths.
+
+    The lanes are grouped by direction key with numpy and the cache is
+    probed once per distinct key in the block, not once per frame;
+    each shard's list comes back ascending."""
     indices = decoded.https_indices
-    if indices.size:
-        for i, dirkey in zip(indices.tolist(),
-                             decoded.dir_keys(indices)):
-            shard = cache.get(dirkey)
-            if shard is None:
-                if len(cache) >= _SHARD_CACHE_MAX:
-                    cache.clear()
-                key, _, _ = decoded.make_key(i)
-                shard = cache[dirkey] = _shard_of_tuple(key, num_shards)
-            per_shard[shard].append(i)
-    return per_shard
+    if not indices.size:
+        return [[] for _ in range(num_shards)]
+    hi, lo = decoded.dir_key_columns(indices)
+    order = np.lexsort((lo, hi))
+    hi, lo = hi[order], lo[order]
+    opens = np.empty(len(order), dtype=bool)  # lane opens a key's run
+    opens[0] = True
+    opens[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+    shards: list[int] = []
+    for i, dirkey in zip(indices[order[opens]].tolist(),
+                         zip(hi[opens].tolist(), lo[opens].tolist())):
+        shard = cache.get(dirkey)
+        if shard is None:
+            if len(cache) >= _SHARD_CACHE_MAX:
+                cache.clear()
+            key, _, _ = decoded.make_key(i)
+            shard = cache[dirkey] = _shard_of_tuple(key, num_shards)
+        shards.append(shard)
+    shard_of = np.empty(len(order), dtype=np.int64)
+    shard_of[order] = np.array(shards)[np.cumsum(opens) - 1]
+    return [indices[shard_of == shard].tolist()
+            for shard in range(num_shards)]
 
 
 def shard_index(key: FlowKey, num_shards: int) -> int:

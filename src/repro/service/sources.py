@@ -46,11 +46,14 @@ import time
 from pathlib import Path
 from typing import BinaryIO
 
+import numpy as np
+
 from repro.errors import ConfigError, ParseError
 from repro.net.pcap import (
     LINKTYPE_ETHERNET,
     MAGIC_USEC,
     MAX_FRAME_BYTES,
+    record_columns,
     walk_records,
 )
 from repro.net.rawpacket import FrameBlock
@@ -66,6 +69,8 @@ _TAIL_READ_BYTES = 1 << 20
 #: ``socket:`` wire header: capture timestamp (IEEE double, seconds)
 #: + frame byte length, network order, then the frame bytes.
 STREAM_FRAME_HEADER = struct.Struct("!dI")
+# The length field alone: all ``_take_block`` reads per frame.
+_STREAM_LENGTH = struct.Struct("!8xI")
 
 _ETH_P_ALL = 0x0003
 
@@ -347,30 +352,30 @@ class SocketStreamSource(FrameSource):
         oversize length drops the peer and the rest of the buffer —
         after the frames ahead of it are taken."""
         buffer = self._buffer
-        header = STREAM_FRAME_HEADER
+        header_size = STREAM_FRAME_HEADER.size
         n = len(buffer)
+        last_header = n - header_size
         offset = 0
-        starts: list[int] = []
-        ends: list[int] = []
-        times: list[float] = []
+        bounds = [0]
         oversize = False
-        while len(starts) < max_frames and offset + header.size <= n:
-            timestamp, length = header.unpack_from(buffer, offset)
+        while len(bounds) <= max_frames and offset <= last_header:
+            (length,) = _STREAM_LENGTH.unpack_from(buffer, offset)
             if length > MAX_FRAME_BYTES:
                 oversize = True
                 break
-            body = offset + header.size
-            if body + length > n:
+            end = offset + header_size + length
+            if end > n:
                 break
-            starts.append(body)
-            ends.append(body + length)
-            times.append(timestamp)
-            offset = body + length
-        if not starts:
+            bounds.append(end)
+            offset = end
+        if not offset:
             block = _EMPTY_BLOCK
         else:
-            block = FrameBlock.from_ranges(bytes(buffer[:offset]),
-                                           starts, ends, times)
+            data = bytes(buffer[:offset])
+            starts, ends, stamps = record_columns(data, bounds,
+                                                  header_size, ">f8")
+            block = FrameBlock(data, starts, ends,
+                               stamps[:, 0].astype(np.float64))
             del buffer[:offset]
         if oversize:
             self._drop_peer()
