@@ -3,9 +3,9 @@
 The observability plane (``repro.obs``) promises to be no-op-cheap:
 count metrics derive from the counters the pipeline already maintains,
 and timing spans wrap batch-level operations only. This bench holds
-that promise to a number — a campus-mix stream through the per-frame
-(``raw-*`` entries) and bulk ingest surfaces with metrics
-disabled and enabled, asserting the enabled mode stays within 3% (the
+that promise to a number — a campus-mix stream through the bulk
+ingest path with metrics disabled and enabled, asserting the enabled
+mode stays within 3% (the
 ISSUE budget; encoded as ``floor: 0.97`` in the committed
 ``BENCH_obs.json``, which ``check_bench_regression.py`` enforces as an
 absolute floor on regenerated runs). The 4-worker shm runtime is
@@ -43,7 +43,7 @@ from repro.trafficgen import generate_lab_dataset
 from repro.util import format_table
 
 # The enabled/disabled budget: enabled must reach >=97% of disabled
-# pkt/s (i.e. <=3% overhead) on the serial ingest paths.
+# pkt/s (i.e. <=3% overhead) on the serial bulk path.
 OVERHEAD_FLOOR = 0.97
 
 
@@ -56,16 +56,6 @@ def test_obs_overhead():
                                bulk_packets=4000 * mix_scale)
     n = len(frames)
     blocks = blocks_of(frames)
-
-    def run_raw(metrics):
-        def run():
-            pipeline = RealtimePipeline(bank, batch_size=64,
-                                        metrics=metrics)
-            start = time.perf_counter()
-            pipeline.process_frames(frames)
-            pipeline.flush()
-            return time.perf_counter() - start, pipeline
-        return run
 
     def run_bulk(metrics):
         def run():
@@ -80,24 +70,20 @@ def test_obs_overhead():
 
     # Interleave enabled/disabled through best_of so thermal/cache
     # drift over the session cannot bias one side.
-    t_raw_off, plain = best_of(run_raw(False), name="obs-raw-disabled")
-    t_raw_on, inst = best_of(run_raw(True), name="obs-raw-enabled")
     t_bulk_off, bplain = best_of(run_bulk(False),
                                  name="obs-bulk-disabled")
     t_bulk_on, binst = best_of(run_bulk(True), name="obs-bulk-enabled")
 
     # Measurement must never perturb the measurement target.
-    assert inst.counters == plain.counters
     assert binst.counters == bplain.counters
     # And the exported registry must agree with the pipeline's own
     # counters (the derive-at-export contract).
-    registry = inst.export_metrics()
+    registry = binst.export_metrics()
     assert registry.value("repro_packets_total") == \
-        inst.counters.packets
+        binst.counters.packets
     assert registry.value("repro_stage_seconds",
                           {"stage": "classify_drain"})[0] > 0
 
-    raw_ratio = t_raw_off / t_raw_on
     bulk_ratio = t_bulk_off / t_bulk_on
 
     # --- 4-worker shm runtime, recorded without an assertion ---------
@@ -131,8 +117,6 @@ def test_obs_overhead():
         ("ingest path", "disabled pkt/s", "enabled pkt/s",
          "enabled/disabled"),
         [
-            ("raw frames", f"{n / t_raw_off:,.0f}",
-             f"{n / t_raw_on:,.0f}", f"{raw_ratio:.3f}x"),
             ("bulk decode_block", f"{n / t_bulk_off:,.0f}",
              f"{n / t_bulk_on:,.0f}", f"{bulk_ratio:.3f}x"),
             ("shm + bulk, 4 workers", f"{n / t_par_off:,.0f}",
@@ -140,14 +124,9 @@ def test_obs_overhead():
         ],
         title=f"Observability overhead — {n:,} packets, campus mix, "
               f"{os.cpu_count()} cores (floor {OVERHEAD_FLOOR}x on "
-              f"serial paths)"))
+              f"the serial path)"))
 
     emit_bench_json("obs", [
-        {"mode": "raw-disabled", "workers": 1,
-         "pkt_per_s": round(n / t_raw_off), "speedup": 1.0},
-        {"mode": "raw-enabled", "workers": 1,
-         "pkt_per_s": round(n / t_raw_on),
-         "speedup": round(raw_ratio, 3), "floor": OVERHEAD_FLOOR},
         {"mode": "bulk-disabled", "workers": 1,
          "pkt_per_s": round(n / t_bulk_off), "speedup": 1.0},
         {"mode": "bulk-enabled", "workers": 1,
@@ -160,10 +139,6 @@ def test_obs_overhead():
          "speedup": round(par_ratio, 3)},
     ])
 
-    assert raw_ratio >= OVERHEAD_FLOOR, (
-        f"metrics-enabled raw ingest at {raw_ratio:.3f}x of disabled "
-        f"— over the 3% overhead budget ({n / t_raw_on:,.0f} vs "
-        f"{n / t_raw_off:,.0f} pkt/s)")
     assert bulk_ratio >= OVERHEAD_FLOOR, (
         f"metrics-enabled bulk ingest at {bulk_ratio:.3f}x of "
         f"disabled — over the 3% overhead budget "

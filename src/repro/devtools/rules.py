@@ -35,8 +35,8 @@ HOT_PATH_MODULES = (
 #: decode) are deliberately NOT in this set — spans there are the
 #: sanctioned instrumentation points.
 PER_FRAME_FUNCTIONS = frozenset((
-    "process_packet", "process_raw", "process_frame", "process_frames",
-    "process_block", "_ingest_https", "_update_flow", "count_packets",
+    "process_packet", "process_block", "_ingest_https", "_update_flow",
+    "count_packets",
 ))
 
 #: Parser packages: every failure on attacker-controlled bytes must

@@ -15,7 +15,6 @@ from repro.net.packet import Packet, make_tcp_packet, make_udp_packet
 from repro.net.rawpacket import (
     DecodedBlock,
     FrameBlock,
-    RawPacket,
     decode_block,
 )
 from repro.net.pcap import (
@@ -50,7 +49,6 @@ __all__ = [
     "PcapReader",
     "PcapRecord",
     "PcapWriter",
-    "RawPacket",
     "TCPHeader",
     "TcpOption",
     "UDPHeader",

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import ParseError
 from repro.net.packet import Packet
-from repro.net.rawpacket import FrameBlock, RawPacket
+from repro.net.rawpacket import FrameBlock
 
 MAGIC_USEC = 0xA1B2C3D4
 LINKTYPE_ETHERNET = 1
@@ -143,7 +143,8 @@ class PcapReader:
 
     def frames(self) -> Iterator[tuple[bytes, float]]:
         """Stream raw ``(frame bytes, timestamp)`` pairs without any
-        packet parsing — the feed for ``process_frames``."""
+        packet parsing (the eager replay parses each with
+        ``Packet.from_bytes``; :meth:`blocks` is the bulk feed)."""
         read = self._file.read
         header_size = self._record.size
         unpack = self._record.unpack
@@ -205,13 +206,6 @@ class PcapReader:
                     break
             tail = chunk[offset:]
             origin += offset
-
-    def raw_packets(self) -> Iterator[RawPacket]:
-        """Stream each record as a zero-copy :class:`RawPacket` view —
-        same validation as :meth:`packets`, none of the dataclass
-        construction."""
-        for data, timestamp in self.frames():
-            yield RawPacket.parse(data, timestamp)
 
     def close(self) -> None:
         self._file.close()

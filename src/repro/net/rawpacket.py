@@ -1,4 +1,4 @@
-"""Zero-copy packet view: the ingest fast path.
+"""Bulk frame decode: the ingest fast path.
 
 The eager :class:`~repro.net.packet.Packet` materializes Ethernet/IPv4/
 L4 dataclasses (with full TCP-option parsing) for every frame. Behind a
@@ -7,19 +7,21 @@ path only ever needs the 5-tuple, the payload length, and the client
 direction — full parsing matters only for the ≤8 handshake packets per
 flow that reach ``parse_flow_handshake``.
 
-:class:`RawPacket` decodes exactly that minimum with ``struct`` offsets
-over a single buffer (``bytes`` or ``memoryview``): no dataclass
-construction, no option parsing, no payload copy. Everything heavier is
-lazy — dotted-quad IPs are converted on first access through a shared
-interning cache (a campus mix has few distinct hosts relative to
-packets), and :meth:`promote` builds the full eager ``Packet`` from the
-same buffer only when a consumer genuinely needs headers.
+:class:`FrameBlock` is many captured frames addressed by offset into
+one buffer, and :func:`decode_block` validates and field-extracts a
+whole block with numpy gathers (~60 array ops per block, however many
+frames it holds). Per-frame Python survives only for the HTTPS frames
+the flow table must see, and full promotion only for candidate
+handshake packets of flows still collecting (TCP flags are
+precomputed vectorized so the engine can skip reparse attempts
+without touching the frame).
 
-The decode is validation-equivalent to ``Packet.from_bytes``: any frame
-the eager path rejects with :class:`ParseError`, this path rejects too
-(same frame classes — bad ethertype, truncated headers, inconsistent
-IPv4 total length, bad TCP data offset), so the two ingest paths agree
-on every capture, malformed records included.
+``Packet.from_bytes`` is the oracle: :func:`decode_block` marks a frame
+invalid if and only if ``Packet.from_bytes`` raises :class:`ParseError`
+for it (same frame classes — bad ethertype, truncated headers,
+inconsistent IPv4 total length, bad TCP data offset or option framing),
+and the fields it extracts are the ones the eager packet carries. The
+parser-fuzz property suite holds the two together frame by frame.
 """
 
 from __future__ import annotations
@@ -27,213 +29,18 @@ from __future__ import annotations
 import struct
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
 from repro.errors import ParseError
 from repro.net.ethernet import ETHERTYPE_IPV4, ETHERTYPE_VLAN
 from repro.net.ipv4 import PROTO_TCP, PROTO_UDP
 from repro.net.packet import Packet
 
-_PORTS = struct.Struct(">HH")
-
-# bytes-of-address -> dotted quad, shared across packets. A tap sees a
+# u32 IPv4 address -> dotted quad, shared across blocks. A tap sees a
 # bounded host population, so this stays small while removing the
-# string-formatting cost from the per-packet path.
-_IP_CACHE: dict[bytes, str] = {}
-_IP_CACHE_MAX = 1 << 16
-
-
-def _ip_str(raw: bytes) -> str:
-    value = _IP_CACHE.get(raw)
-    if value is None:
-        value = ".".join(map(str, raw))
-        if len(_IP_CACHE) >= _IP_CACHE_MAX:
-            _IP_CACHE.clear()
-        _IP_CACHE[raw] = value
-    return value
-
-
-class RawPacket:
-    """A parsed-by-offset view over one captured frame.
-
-    Exposes the same hot-path surface as :class:`Packet`
-    (``is_tcp``/``is_udp``, ``src_port``/``dst_port``,
-    ``canonical_key_tuple``, ``src_ip``/``dst_ip``, ``timestamp``) plus
-    ``payload_len`` so per-packet accounting never slices the payload.
-    """
-
-    __slots__ = ("data", "timestamp", "vlan_id", "protocol", "ttl",
-                 "src_port", "dst_port", "payload_len", "_l3",
-                 "_payload_start", "_payload_end", "_src_ip", "_dst_ip",
-                 "_key")
-
-    def __init__(self) -> None:  # populated by parse()
-        raise TypeError("use RawPacket.parse(data, timestamp)")
-
-    @classmethod
-    def parse(cls, data: bytes | bytearray | memoryview,
-              timestamp: float = 0.0) -> "RawPacket":
-        """Decode a frame into a view; raises :class:`ParseError` on the
-        same frame classes ``Packet.from_bytes`` rejects."""
-        n = len(data)
-        if n < 14:
-            raise ParseError("truncated Ethernet header")
-        ethertype = (data[12] << 8) | data[13]
-        vlan_id = None
-        l3 = 14
-        if ethertype == ETHERTYPE_VLAN:
-            if n < 18:
-                raise ParseError("truncated 802.1Q header")
-            vlan_id = ((data[14] << 8) | data[15]) & 0x0FFF
-            ethertype = (data[16] << 8) | data[17]
-            l3 = 18
-        if ethertype != ETHERTYPE_IPV4:
-            raise ParseError(f"unsupported ethertype 0x{ethertype:04x}")
-        if n < l3 + 20:
-            raise ParseError("truncated IPv4 header")
-        vi = data[l3]
-        if vi >> 4 != 4:
-            raise ParseError(f"not an IPv4 packet (version={vi >> 4})")
-        ihl = (vi & 0x0F) * 4
-        if ihl < 20 or n < l3 + ihl:
-            raise ParseError("bad IPv4 header length")
-        total_length = (data[l3 + 2] << 8) | data[l3 + 3]
-        if total_length < ihl or l3 + total_length > n:
-            raise ParseError("IPv4 total length inconsistent with capture")
-        protocol = data[l3 + 9]
-        l4 = l3 + ihl
-        l4_len = total_length - ihl
-        if protocol == PROTO_TCP:
-            if l4_len < 20:
-                raise ParseError("truncated TCP header")
-            data_offset = (data[l4 + 12] >> 4) * 4
-            if data_offset < 20 or data_offset > l4_len:
-                raise ParseError("bad TCP data offset")
-            if data_offset > 20:
-                # Walk (don't materialize) the options: the eager path
-                # rejects malformed option framing at parse time, so
-                # rejection parity requires the same check here.
-                i = l4 + 20
-                end = l4 + data_offset
-                while i < end:
-                    kind = data[i]
-                    if kind == 0:  # EOL
-                        break
-                    if kind == 1:  # NOP
-                        i += 1
-                        continue
-                    if i + 1 >= end:
-                        raise ParseError("truncated TCP option")
-                    length = data[i + 1]
-                    if length < 2 or i + length > end:
-                        raise ParseError("bad TCP option length")
-                    i += length
-            payload_start = l4 + data_offset
-        elif protocol == PROTO_UDP:
-            if l4_len < 8:
-                raise ParseError("truncated UDP header")
-            if (data[l4 + 4] << 8) | data[l4 + 5] < 8:
-                raise ParseError("bad UDP length")
-            payload_start = l4 + 8
-        else:
-            raise ParseError(f"unsupported IP protocol {protocol}")
-        self = object.__new__(cls)
-        self.data = data
-        self.timestamp = timestamp
-        self.vlan_id = vlan_id
-        self.protocol = protocol
-        self.ttl = data[l3 + 8]
-        self.src_port, self.dst_port = _PORTS.unpack_from(data, l4)
-        self._l3 = l3
-        self._payload_start = payload_start
-        self._payload_end = l3 + total_length
-        self.payload_len = self._payload_end - payload_start
-        self._src_ip = None
-        self._dst_ip = None
-        self._key = None
-        return self
-
-    # -- hot-path surface --------------------------------------------------
-
-    @property
-    def is_tcp(self) -> bool:
-        return self.protocol == PROTO_TCP
-
-    @property
-    def is_udp(self) -> bool:
-        return self.protocol == PROTO_UDP
-
-    @property
-    def payload(self) -> memoryview:
-        """The L4 payload as a zero-copy view."""
-        return memoryview(self.data)[self._payload_start:self._payload_end]
-
-    @property
-    def src_ip(self) -> str:
-        ip = self._src_ip
-        if ip is None:
-            off = self._l3 + 12
-            ip = self._src_ip = _ip_str(bytes(self.data[off:off + 4]))
-        return ip
-
-    @property
-    def dst_ip(self) -> str:
-        ip = self._dst_ip
-        if ip is None:
-            off = self._l3 + 16
-            ip = self._dst_ip = _ip_str(bytes(self.data[off:off + 4]))
-        return ip
-
-    @property
-    def canonical_key_tuple(self) -> tuple[int, str, int, str, int]:
-        """Identical to ``Packet.canonical_key_tuple`` on the same frame
-        — the two ingest paths must place every flow in the same table
-        entry and on the same shard."""
-        key = self._key
-        if key is None:
-            src, dst = self.src_ip, self.dst_ip
-            sp, dp = self.src_port, self.dst_port
-            if (src, sp) <= (dst, dp):
-                key = (self.protocol, src, sp, dst, dp)
-            else:
-                key = (self.protocol, dst, dp, src, sp)
-            self._key = key
-        return key
-
-    # -- lazy promotion ----------------------------------------------------
-
-    def promote(self) -> Packet:
-        """Materialize the full eager :class:`Packet` from the buffer.
-
-        Called only for packets that need real header objects — the
-        handshake packets headed for ``parse_flow_handshake``."""
-        data = self.data
-        if not isinstance(data, (bytes, bytearray)):
-            data = bytes(data)
-        return Packet.from_bytes(data, self.timestamp)
-
-
-# ---------------------------------------------------------------------------
-# Bulk decode: thousands of frames per call
-# ---------------------------------------------------------------------------
-#
-# RawPacket removed the per-frame dataclass cost; the remaining ceiling
-# is one Python call per frame. decode_block() removes that too: a
-# whole capture block — frames addressed by offset into one buffer —
-# is validated and field-extracted with numpy gathers (~60 array ops
-# per block, however many frames it holds). Per-frame Python survives
-# only for the HTTPS frames the flow table must see, and full
-# promotion only for candidate handshake packets of flows still
-# collecting (TCP flags and payload-presence are precomputed
-# vectorized so the engine can skip reparse attempts without touching
-# the frame). The eager path stays the oracle: a frame is marked
-# invalid by decode_block() if and only if RawPacket.parse /
-# Packet.from_bytes rejects it, same frame classes, proven per-frame
-# by the parser-fuzz property suite.
-
-import numpy as np
-
-# u32 IPv4 address -> dotted quad (same bounded-population argument as
-# _IP_CACHE; keyed on the int the vectorized decode already has).
+# string-formatting cost from the per-flow path.
 _IP_U32_CACHE: dict[int, str] = {}
+_IP_CACHE_MAX = 1 << 16
 
 
 def _ip_from_u32(value: int) -> str:
@@ -353,7 +160,10 @@ class FrameBlock:
     @classmethod
     def unpack(cls, buf: bytes | bytearray | memoryview) -> "FrameBlock":
         """Rebuild a block over ``buf`` (bytes or memoryview) without
-        copying the frame payload."""
+        copying the frame payload. The frame table must be
+        non-decreasing and end exactly at ``payload_bytes``; anything
+        else is a corrupt chunk (:class:`ParseError`), never frame
+        bounds that run past the buffer."""
         view = memoryview(buf)
         if len(view) < _PACK_HEADER.size:
             raise ParseError("truncated frame-block header")
@@ -363,6 +173,9 @@ class FrameBlock:
             raise ParseError("truncated frame-block body")
         ends = np.frombuffer(view, dtype=np.uint32,
                              count=n, offset=_PACK_HEADER.size)
+        if (int(ends[-1]) if n else 0) != payload_bytes \
+                or np.any(ends[1:] < ends[:-1]):
+            raise ParseError("inconsistent frame-block table")
         times = np.frombuffer(view, dtype=np.float64, count=n,
                               offset=_PACK_HEADER.size + 4 * n)
         ends = ends.astype(np.int64) + tables
@@ -376,16 +189,16 @@ class FrameBlock:
 class DecodedBlock:
     """The vectorized decode of one :class:`FrameBlock`.
 
-    Per-frame numpy arrays: ``valid`` (the frame parses — same classes
-    ``RawPacket.parse`` accepts), ``https`` (valid and touching port
+    Per-frame numpy arrays: ``valid`` (``Packet.from_bytes`` accepts
+    the frame), ``https`` (valid and touching port
     443 — the only frames the flow table needs), ``protocol``,
     ``src_u32``/``dst_u32``, ``src_port``/``dst_port``, ``ttl``,
     ``payload_len``, ``vlan_id`` (-1 = untagged), and the promotion
-    heuristics ``syn_noack`` (TCP SYN without ACK — the late-client-SYN
-    reparse trigger) and ``has_payload``. Scalar escape hatches
-    (:meth:`raw`, :meth:`promote`, :meth:`raise_invalid`) re-parse a
-    single frame for the few consumers that need objects or exact
-    error text.
+    heuristic ``syn_noack`` (TCP SYN without ACK — the late-client-SYN
+    reparse trigger). Scalar escape hatches (:meth:`promote`,
+    :meth:`raise_invalid`) re-parse a single frame with
+    ``Packet.from_bytes`` for the few consumers that need objects or
+    exact error text.
     """
 
     __slots__ = ("block", "valid", "https", "protocol", "src_u32",
@@ -462,9 +275,9 @@ class DecodedBlock:
 
     def make_key(self, i: int) -> tuple:
         """``(canonical_key_tuple, src_ip, dst_ip)`` for frame ``i`` —
-        identical to the tuple ``RawPacket``/``Packet`` build, string
-        comparison and all, so every flow lands in the same table entry
-        and on the same shard whichever path decoded it."""
+        identical to the tuple ``Packet`` builds, string comparison and
+        all, so every flow lands in the same table entry and on the
+        same shard whichever path decoded it."""
         src = _ip_from_u32(int(self.src_u32[i]))
         dst = _ip_from_u32(int(self.dst_u32[i]))
         sp = int(self.src_port[i])
@@ -487,10 +300,6 @@ class DecodedBlock:
 
     # -- scalar escape hatches ---------------------------------------------
 
-    def raw(self, i: int) -> RawPacket:
-        return RawPacket.parse(self.block.frame(i),
-                               float(self.block.timestamps[i]))
-
     def promote(self, i: int) -> Packet:
         """Full eager packet for frame ``i`` (candidate handshake
         packets only — the flow-state gate in the engine)."""
@@ -502,18 +311,19 @@ class DecodedBlock:
         return int(bad[0]) if bad.size else None
 
     def raise_invalid(self, i: int) -> None:
-        """Raise the exact :class:`ParseError` the per-frame path gives
-        for (invalid) frame ``i`` — strict-mode ingest parity."""
-        RawPacket.parse(self.block.frame(i),
-                        float(self.block.timestamps[i]))
+        """Raise the exact :class:`ParseError` ``Packet.from_bytes``
+        gives for (invalid) frame ``i`` — strict-mode ingest parity
+        with the eager oracle."""
+        self.promote(i)
         raise ParseError(  # pragma: no cover - decode/parse disagree
             f"decode_block flagged frame {i} invalid but "
-            f"RawPacket.parse accepts it")
+            f"Packet.from_bytes accepts it")
 
 
 def _walk_tcp_options(buf, start: int, end: int) -> bool:
     """Scalar option-framing walk for the minority of TCP frames with
-    data_offset > 20 (mirrors RawPacket.parse exactly)."""
+    data_offset > 20: accepts exactly the option bytes
+    ``TCPHeader.parse`` accepts."""
     i = start
     while i < end:
         kind = buf[i]
@@ -538,7 +348,9 @@ def decode_block(block: FrameBlock) -> DecodedBlock:
     hot-path fields (5-tuples, lengths, TTLs, VLAN ids, TCP flags);
     no per-frame Python runs except a bounded option-framing walk for
     TCP frames that carry options. Frames rejected here are exactly
-    the frames ``RawPacket.parse`` raises :class:`ParseError` for.
+    the frames ``Packet.from_bytes`` raises :class:`ParseError` for; a
+    frame whose bounds run past the buffer is rejected too, so no lane
+    is ever read beyond the bytes the block holds.
     """
     n = len(block)
     buf = np.frombuffer(block.buf, dtype=np.uint8)
@@ -561,7 +373,7 @@ def decode_block(block: FrameBlock) -> DecodedBlock:
         invalid before use."""
         return buf[np.minimum(starts + rel, limit)].astype(np.int64)
 
-    valid = lens >= 14
+    valid = (lens >= 14) & (block.ends <= buf.size)
     ethertype = (gather(12) << 8) | gather(13)
     vlan = ethertype == ETHERTYPE_VLAN
     valid &= ~vlan | (lens >= 18)

@@ -37,7 +37,7 @@ from repro.fingerprints.packs import FingerprintPack
 from repro.fingerprints.providers import detect_provider
 from repro.net.flow import FlowKey
 from repro.net.packet import Packet
-from repro.net.rawpacket import DecodedBlock, RawPacket
+from repro.net.rawpacket import DecodedBlock
 from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
 from repro.pipeline.bank import ClassifierBank
 from repro.pipeline.confidence import (
@@ -209,7 +209,7 @@ class RealtimePipeline:
                 buckets=COUNT_BUCKETS)
             self._c_promotions = m.counter(
                 "repro_promotions_total",
-                "Raw/bulk frames promoted to full Packet objects "
+                "Bulk frames promoted to full Packet objects "
                 "(handshake-phase only; structurally 0 in eager mode)")
         else:
             self._span_drain = None
@@ -274,52 +274,6 @@ class RealtimePipeline:
             state.bytes_down += payload_len
         return state
 
-    # -- raw-frame mode --------------------------------------------------------
-
-    def process_raw(self, raw: RawPacket) -> None:
-        """Ingest one parsed :class:`RawPacket` view through the
-        zero-copy path.
-
-        Equivalent to ``process_packet(Packet.from_bytes(raw.data,
-        raw.timestamp))`` — identical counters, predictions, and
-        telemetry on any capture — but only the handshake packets that
-        reach ``parse_flow_handshake`` ever pay for full parsing;
-        everything else is decoded by struct offsets alone. Takes the
-        view, not the bytes, so a dispatcher that already parsed the
-        frame for routing never parses it twice."""
-        self.counters.packets += 1
-        if raw.dst_port != HTTPS_PORT and raw.src_port != HTTPS_PORT:
-            return
-        payload_len = raw.payload_len
-        state = self._update_flow(raw.canonical_key_tuple, raw.timestamp,
-                                  raw.src_ip, raw.dst_ip, raw.dst_port,
-                                  payload_len)
-        if state.not_video or state.done_collecting:
-            return
-        # Lazy promotion: only handshake-phase packets (≤8 per flow)
-        # ever become full Packet objects.
-        if self._c_promotions is not None:
-            self._c_promotions.inc()
-        promoted = raw.promote()
-        state.handshake_packets.append(promoted)
-        if payload_len or \
-                len(state.handshake_packets) >= _MAX_HANDSHAKE_PACKETS \
-                or self._is_late_client_syn(state, promoted):
-            self._try_classify(state)
-
-    def process_frames(self, frames: Iterable[tuple[
-            bytes | bytearray | memoryview, float]]) -> int:
-        """Ingest an iterable of ``(frame bytes, timestamp)`` pairs —
-        the batched feed a pcap reader or ring buffer hands over.
-        Returns the number of frames processed."""
-        parse = RawPacket.parse
-        process = self.process_raw
-        count = 0
-        for data, timestamp in frames:
-            process(parse(data, timestamp))
-            count += 1
-        return count
-
     # -- bulk (vectorized block) mode ------------------------------------------
 
     def count_packets(self, count: int) -> None:
@@ -331,12 +285,12 @@ class RealtimePipeline:
         """Ingest one vectorized :func:`~repro.net.decode_block` result.
 
         Equivalent to feeding the block's valid frames through
-        :meth:`process_frames` one by one — identical counters, flow
-        table, predictions, and telemetry — but only the HTTPS frames
-        run any per-frame Python, and only candidate handshake packets
-        of still-collecting flows are promoted to full ``Packet``
-        objects. Invalid frames are untouched (the ingest layer owns
-        skip accounting, as it does for the per-frame paths)."""
+        :meth:`process_packet` as ``Packet.from_bytes`` parses them, one
+        by one — identical counters, flow table, predictions, and
+        telemetry — but only the HTTPS frames run any per-frame Python,
+        and only candidate handshake packets of still-collecting flows
+        are promoted to full ``Packet`` objects. Invalid frames are
+        untouched (the ingest layer owns skip accounting)."""
         self.counters.packets += decoded.valid_count
         indices = decoded.https_indices
         if indices.size:
@@ -369,8 +323,8 @@ class RealtimePipeline:
             if self._c_promotions is not None:
                 self._c_promotions.inc()
             state.handshake_packets.append(decoded.promote(i))
-            # Same reparse gate as the per-frame paths; the late-
-            # client-SYN test uses the precomputed SYN-no-ACK lane.
+            # Same reparse gate as process_packet; the late-client-SYN
+            # test uses the precomputed SYN-no-ACK lane.
             if plen or \
                     len(state.handshake_packets) >= \
                     _MAX_HANDSHAKE_PACKETS \

@@ -11,9 +11,7 @@ the same file (``tests/test_bulk_equivalence.py`` and
 ``tests/test_golden_trace.py`` pin this). The per-block body of the
 bulk path is :func:`ingest_block`, which the ``repro serve`` daemon
 calls with the blocks its live sources poll — a live feed and a
-replay share one tick-slicing implementation. The per-frame surface
-(``process_raw``/``process_frames``) has no product caller and is not
-an ingest mode.
+replay share one tick-slicing implementation.
 
 Real captures carry frames the pipeline cannot use — ARP, IPv6, LLDP,
 mangled records. By default those are skipped and tallied rather than
@@ -393,7 +391,7 @@ def ingest_block(pipeline: "RealtimePipeline | ShardedPipeline | "
             driver.advance(float(runmax[pos]))
         if strict and not decoded.valid[pos]:
             # Ticks at this frame fired above; now fail with
-            # the per-frame path's exact error.
+            # the oracle's exact error.
             decoded.raise_invalid(pos)
         # Find the next event frame after ``pos``; everything
         # before it is one uninterrupted span.

@@ -62,8 +62,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 from repro.errors import ConfigError
 from repro.fingerprints.packs import activate_pack, active_pack
 from repro.net.packet import Packet
-from repro.net.rawpacket import DecodedBlock, FrameBlock, RawPacket, \
-    decode_block
+from repro.net.rawpacket import DecodedBlock, FrameBlock, decode_block
 from repro.pipeline.confidence import DEFAULT_CONFIDENCE_THRESHOLD
 from repro.pipeline.engine import (
     PipelineCounters,
@@ -86,9 +85,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.rollup import RollupConfig, RollupCube
     from repro.trafficgen.session import SyntheticFlow
 
-# Frames shipped per queue message: large enough to amortize pickling
-# and queue locking, small enough that worker memory stays bounded and
-# synchronous commands (flush, eviction ticks) never wait long.
+# Packets or flows shipped per queue message: large enough to amortize
+# pickling and queue locking, small enough that worker memory stays
+# bounded and synchronous commands (flush, eviction ticks) never wait
+# long.
 DEFAULT_CHUNK_ITEMS = 512
 
 # Chunks a worker's command queue may hold before the parent blocks:
@@ -103,12 +103,14 @@ _REPLY_TIMEOUT = 5.0  # between liveness checks while awaiting a reply
 # Commands that only carry data (fire-and-forget, no reply); everything
 # else is a control command with exactly one reply. "block" is a packed
 # bulk-decode chunk, "tally" a bare packet-count attribution.
-_DATA_OPS = frozenset(("frames", "packets", "flows", "block", "tally"))
+_DATA_OPS = frozenset(("packets", "flows", "block", "tally"))
 
 # How packed *blocks* reach the workers: "queue" pickles them through
 # the command queue; "shm" writes them into a per-worker shared-memory
 # ring and ships only (offset, length) descriptors through the queue.
-# Per-frame, packet and flow chunks ride the queue either way.
+# Packet and flow chunks ride the queue either way. "queue" allocates
+# no shared-memory segment and starts no resource-tracker child, which
+# is why the daemon takes it (docs/ARCHITECTURE.md, serve_live RSS).
 TRANSPORTS = ("queue", "shm")
 
 # Sentinel for "no recovered reply pending" (None is a valid reply).
@@ -155,8 +157,8 @@ def _worker_main(worker_id: int, bank_dir: str, options: dict,
     :class:`RealtimePipeline`, and serve the parent's command stream
     until ``stop``.
 
-    Data commands (``frames``/``packets``/``flows``/``block``/
-    ``tally``) are fire-and-forget chunks; control commands
+    Data commands (``packets``/``flows``/``block``/``tally``) are
+    fire-and-forget chunks; control commands
     (``drain``/``flush``/``flush_idle``/``sync``/``checkpoint``/
     ``reload_bank``/``stop``) each produce exactly one
     ``("ok", payload)`` reply. Under the shm transport, ``block``
@@ -196,9 +198,7 @@ def _worker_main(worker_id: int, bank_dir: str, options: dict,
         while True:
             cmd = cmd_queue.get()
             op = cmd[0]
-            if op == "frames":
-                pipeline.process_frames(cmd[1])
-            elif op == "shm":
+            if op == "shm":
                 _, offset, length, consumed_after = cmd
                 buf = ring.view(offset, length)
                 try:
@@ -264,8 +264,8 @@ class ParallelShardedPipeline:
     own, so model arrays are never pickled through the spawn/fork.
 
     The ingest surface mirrors :class:`ShardedPipeline` —
-    ``process_packet`` / ``process_raw`` / ``process_frames`` /
-    ``process_block`` / ``process_flows`` — and the merged views
+    ``process_packet`` / ``process_block`` / ``process_flows`` — and
+    the merged views
     (``counters``, ``telemetry``/``store``, ``rollup``, ``live_flows``,
     ``shard_loads``) read identically. Data calls buffer into per-worker
     chunks and return immediately; ``drain``/``flush``/``flush_idle``
@@ -287,11 +287,11 @@ class ParallelShardedPipeline:
     queues; ``"shm"`` writes them into one shared-memory ring per
     worker (``ring_bytes`` each) and ships only offset descriptors —
     same command order, same journal/recovery contract, no pickling
-    on the block hot path. Per-frame chunks (``process_frames``) ride
-    the queue under either value, so a per-frame caller (the daemon)
-    takes ``"queue"`` and allocates no segment, and a block caller
-    (batch replay) takes ``"shm"``; see docs/ARCHITECTURE.md for the
-    measurements behind that split.
+    on the block hot path. The daemon takes ``"queue"``: it allocates
+    no shared-memory segment and starts no resource-tracker child, so
+    a long-lived tap holds no ring memory; batch replay takes
+    ``"shm"``. See docs/ARCHITECTURE.md for the measurements behind
+    that split.
     """
 
     def __init__(self, bank_dir: str | Path, num_workers: int = 4,
@@ -708,36 +708,12 @@ class ParallelShardedPipeline:
                                  self.num_workers)
         self._enqueue(worker, "packets", packet)
 
-    # -- raw-frame mode --------------------------------------------------------
-
-    def process_raw(self, raw: RawPacket) -> None:
-        """Route a parsed frame view to its worker. The parent only
-        parses for placement; the frame crosses the process boundary as
-        bytes and the worker re-parses on its own core (cheaper than
-        pickling a promoted packet, and it keeps the worker-side path
-        byte-identical to the serial shard's ``process_frames``)."""
-        worker = _shard_of_tuple(raw.canonical_key_tuple,
-                                 self.num_workers)
-        data = raw.data
-        if not isinstance(data, bytes):
-            data = bytes(data)
-        self._enqueue(worker, "frames", (data, raw.timestamp))
-
-    def process_frames(self, frames: Iterable[tuple[
-            bytes | bytearray | memoryview, float]]) -> int:
-        parse = RawPacket.parse
-        count = 0
-        for data, timestamp in frames:
-            self.process_raw(parse(data, timestamp))
-            count += 1
-        return count
-
     # -- bulk (vectorized block) mode ------------------------------------------
 
     def process_block(self, decoded: DecodedBlock) -> None:
         """Bulk ingest across the worker fleet: HTTPS lanes are
         partitioned by the canonical-tuple hash (identical placement
-        to every per-frame path), packed into block chunks, and
+        to :meth:`process_packet`), packed into block chunks, and
         shipped to their workers — through the ring under the shm
         transport, pickled under queue. The valid non-HTTPS remainder
         is a bare count attributed to worker 0, mirroring the serial
@@ -751,7 +727,7 @@ class ParallelShardedPipeline:
             if not lanes:
                 continue
             https_total += len(lanes)
-            self._ship(worker)  # keep FIFO with buffered frame chunks
+            self._ship(worker)  # keep FIFO with buffered packet chunks
             for chunk in decoded.block.pack_chunks(
                     lanes, max_bytes=self._pack_bytes):
                 self._put(worker, ("block", chunk))

@@ -25,7 +25,7 @@ import numpy as np
 from repro.fingerprints.packs import FingerprintPack
 from repro.net.flow import FlowKey
 from repro.net.packet import Packet
-from repro.net.rawpacket import DecodedBlock, RawPacket
+from repro.net.rawpacket import DecodedBlock
 from repro.pipeline.bank import ClassifierBank
 from repro.pipeline.confidence import DEFAULT_CONFIDENCE_THRESHOLD
 from repro.pipeline.engine import PipelineCounters, RealtimePipeline
@@ -52,7 +52,7 @@ def partition_https_indices(decoded: DecodedBlock, num_shards: int,
     (the canonical-tuple crc32 every routing path uses), memoizing
     direction key -> shard in ``cache``. Shared by the serial
     dispatcher and the multiprocess parent so both route bulk frames
-    identically to the per-frame paths.
+    identically to the eager per-packet path.
 
     The lanes are grouped by direction key with numpy and the cache is
     probed once per distinct key in the block, not once per frame;
@@ -150,29 +150,6 @@ class ShardedPipeline:
                                 self.num_shards)
         self.shards[shard].process_packet(packet)
 
-    # -- raw-frame mode --------------------------------------------------------
-
-    def process_raw(self, raw: RawPacket) -> None:
-        """Zero-copy ingest: route the parsed view by canonical 5-tuple
-        — the same placement the eager path gives the same frame (both
-        hash the identical canonical tuple)."""
-        shard = _shard_of_tuple(raw.canonical_key_tuple, self.num_shards)
-        self.shards[shard].process_raw(raw)
-
-    def process_frames(self, frames: Iterable[tuple[
-            bytes | bytearray | memoryview, float]]) -> int:
-        """Ingest ``(frame bytes, timestamp)`` pairs; returns the count."""
-        parse = RawPacket.parse
-        shards = self.shards
-        num_shards = self.num_shards
-        count = 0
-        for data, timestamp in frames:
-            raw = parse(data, timestamp)
-            shard = _shard_of_tuple(raw.canonical_key_tuple, num_shards)
-            shards[shard].process_raw(raw)
-            count += 1
-        return count
-
     # -- bulk (vectorized block) mode ------------------------------------------
 
     def shard_https_indices(self, decoded: DecodedBlock) -> list[list[int]]:
@@ -184,9 +161,9 @@ class ShardedPipeline:
 
     def process_block(self, decoded: DecodedBlock) -> None:
         """Bulk ingest: HTTPS lanes go to their owning shard (same
-        placement the per-frame paths give the same frames); the valid
-        non-HTTPS remainder is pure packet accounting and lands on
-        shard 0, so merged counters stay identical to the per-frame
+        placement :meth:`process_packet` gives the same frames); the
+        valid non-HTTPS remainder is pure packet accounting and lands
+        on shard 0, so merged counters stay identical to the per-packet
         dispatch (per-shard ``packets`` attribution differs; flows —
         the load that matters — never do)."""
         per_shard = self.shard_https_indices(decoded)

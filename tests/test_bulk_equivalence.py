@@ -6,9 +6,9 @@ mix — video flows, a split-ClientHello flow, a VLAN-tagged slice,
 non-video bulk, foreign ARP/IPv6 frames — every runtime flavor (serial,
 sharded, multiprocess over both block transports) must produce
 identical counters, identical predictions in identical order, and
-byte-identical rollup snapshots across both ingest modes and the
-per-frame surface live sources feed, including checkpointed and
-killed-worker replay under the shared-memory transport.
+byte-identical rollup snapshots across both ingest modes and a
+frame-at-a-time block feed, including checkpointed and killed-worker
+replay under the shared-memory transport.
 """
 
 import hashlib
@@ -23,10 +23,11 @@ from repro.errors import ParseError
 from repro.ml import RandomForestClassifier
 from repro.net import (
     EthernetHeader,
+    FrameBlock,
     PcapReader,
     PcapWriter,
-    RawPacket,
     TCPHeader,
+    decode_block,
     make_tcp_packet,
 )
 from repro.fingerprints import Provider, Transport, UserPlatform, get_profile
@@ -178,19 +179,14 @@ def eager_oracle(bank, campus_pcap, tmp_path_factory):
 
 
 def _feed_frames(pipeline, path):
-    """A live source's ingest loop over a capture file: every frame
-    ``RawPacket.parse`` accepts goes through ``process_frames``, the
-    rest are skipped (as ``ingest_pcap`` skips them)."""
-    def parseable(frames):
-        for data, timestamp in frames:
-            try:
-                RawPacket.parse(data, timestamp)
-            except ParseError:
-                continue
-            yield data, timestamp
-
+    """A frame-at-a-time source over a capture file (the AF_PACKET
+    source's shape): the raw frames packed with
+    ``FrameBlock.from_frames`` and fed as one block, no tick slicing;
+    invalid frames are masked and skipped as ``ingest_pcap`` skips
+    them."""
     with PcapReader(path) as reader:
-        return pipeline.process_frames(parseable(reader.frames()))
+        block = FrameBlock.from_frames(reader.frames())
+    pipeline.process_block(decode_block(block))
 
 
 class TestSerialBulk:
@@ -205,17 +201,6 @@ class TestSerialBulk:
         assert asdict(pipeline.counters) == eager_oracle["counters"]
         assert _rows(pipeline.store) == eager_oracle["rows"]
         assert _rollup_digest(pipeline.rollup, tmp_path, mode) == \
-            eager_oracle["rollup"]
-
-    def test_per_frame_surface_matches_eager_oracle(
-            self, bank, campus_pcap, eager_oracle, tmp_path):
-        pipeline = RealtimePipeline(bank, batch_size=8, retention="both")
-        assert _feed_frames(pipeline, campus_pcap) == \
-            eager_oracle["result"].frames
-        pipeline.flush()
-        assert asdict(pipeline.counters) == eager_oracle["counters"]
-        assert _rows(pipeline.store) == eager_oracle["rows"]
-        assert _rollup_digest(pipeline.rollup, tmp_path, "frames") == \
             eager_oracle["rollup"]
 
     def test_oracle_exercises_the_hard_shapes(self, eager_oracle):
@@ -263,7 +248,7 @@ class TestShardedBulk:
                     _rollup_digest(pipeline.rollup, tmp_path,
                                    f"{tag}-{shards}"))
 
-        raw = state(_feed_frames, "raw")  # the per-frame surface
+        raw = state(_feed_frames, "raw")  # one from_frames block
         bulk = state(ingest_pcap, "bulk")
         assert bulk == raw
         assert bulk[0] == eager_oracle["counters"]

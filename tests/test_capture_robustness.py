@@ -15,10 +15,15 @@ from repro.errors import ParseError
 from repro.features.extract import parse_flow_handshake
 from repro.fingerprints import Provider, Transport, UserPlatform, get_profile
 from repro.ml import RandomForestClassifier
-from repro.net import EthernetHeader, Packet, PcapReader, PcapWriter
+from repro.net import EthernetHeader, FrameBlock, Packet, PcapReader, PcapWriter, decode_block
 from repro.pipeline import ClassifierBank, RealtimePipeline
 from repro.trafficgen import FlowBuildRequest, FlowFactory, generate_lab_dataset
 from repro.util import SeededRNG
+
+
+def _feed(pipeline, frames):
+    """Raw ``(bytes, timestamp)`` frames through the block path."""
+    pipeline.process_block(decode_block(FrameBlock.from_frames(frames)))
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +170,7 @@ class TestReorder:
                                   key=lambda p: p.timestamp,
                                   reverse=True)]
         pipeline = RealtimePipeline(bank)
-        pipeline.process_frames(frames)
+        _feed(pipeline, frames)
         pipeline.flush()
         times = [p.timestamp for p in tcp_flow.packets]
         record = list(pipeline.store)[0]
@@ -190,9 +195,9 @@ class TestVlan:
         assert [p.flow_key for p in eager] == \
             [p.flow_key for p in tcp_flow.packets]
         with PcapReader(path) as reader:
-            raws = list(reader.raw_packets())
-        assert [r.vlan_id for r in raws] == [207] * len(tagged)
-        assert [r.promote() for r in raws] == eager
+            decoded = decode_block(next(reader.blocks()))
+        assert decoded.vlan_id.tolist() == [207] * len(tagged)
+        assert [decoded.promote(i) for i in range(len(decoded))] == eager
 
     def test_vlan_t1_matches_wire_roundtrip(self, tcp_flow):
         """t1 (init_packet_size) is the IP packet size: an in-memory
@@ -212,7 +217,7 @@ class TestVlan:
             eager.process_packet(packet)
         eager.flush()
         raw = RealtimePipeline(bank)
-        raw.process_frames((p.to_bytes(), p.timestamp) for p in tagged)
+        _feed(raw, [(p.to_bytes(), p.timestamp) for p in tagged])
         raw.flush()
         assert eager.counters.video_flows == 1
         assert eager.counters.parse_failures == 0

@@ -19,7 +19,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.ml import RandomForestClassifier
-from repro.net import PcapWriter
+from repro.net import FrameBlock, PcapWriter, decode_block
 from repro.pipeline import (
     ClassifierBank,
     ConceptDriftMonitor,
@@ -33,6 +33,11 @@ from repro.pipeline import (
 )
 from repro.telemetry import save_rollup
 from repro.trafficgen import generate_lab_dataset
+
+def _feed(pipeline, frames):
+    """Raw ``(bytes, timestamp)`` frames through the block path."""
+    pipeline.process_block(decode_block(FrameBlock.from_frames(frames)))
+
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -154,12 +159,12 @@ class TestRealtimeCheckpoint:
         k = int(len(campus_frames) * cut)
         original = RealtimePipeline(bank, batch_size=8,
                                     retention="both")
-        original.process_frames(campus_frames[:k])
+        _feed(original, campus_frames[:k])
         original.save_checkpoint(tmp_path / "ck")
         restored = RealtimePipeline.restore(tmp_path / "ck", bank)
-        original.process_frames(campus_frames[k:])
+        _feed(original, campus_frames[k:])
         original.flush()
-        restored.process_frames(campus_frames[k:])
+        _feed(restored, campus_frames[k:])
         restored.flush()
         _assert_identical(restored, original, tmp_path, f"cut{cut}")
 
@@ -167,7 +172,7 @@ class TestRealtimeCheckpoint:
                                                   campus_frames,
                                                   tmp_path):
         pipeline = RealtimePipeline(bank, batch_size=8)
-        pipeline.process_frames(campus_frames[:len(campus_frames) // 3])
+        _feed(pipeline, campus_frames[:len(campus_frames) // 3])
         pipeline.save_checkpoint(tmp_path / "ck")
         restored = RealtimePipeline.restore(tmp_path / "ck", bank)
         assert restored.live_flows == pipeline.live_flows
@@ -179,7 +184,7 @@ class TestRealtimeCheckpoint:
     def test_restore_rejects_kind_and_retention_mismatch(
             self, bank, campus_frames, tmp_path):
         pipeline = RealtimePipeline(bank, batch_size=8)
-        pipeline.process_frames(campus_frames[:40])
+        _feed(pipeline, campus_frames[:40])
         pipeline.save_checkpoint(tmp_path / "ck")
         with pytest.raises(ConfigError):
             ShardedPipeline.restore(tmp_path / "ck", bank)
@@ -199,7 +204,7 @@ class TestRealtimeCheckpoint:
         monitor = ConceptDriftMonitor(min_observations=5)
         pipeline = RealtimePipeline(bank, batch_size=4,
                                     monitor=monitor)
-        pipeline.process_frames(campus_frames)
+        _feed(pipeline, campus_frames)
         pipeline.drain()
         observed = sum(r.observed_flows for r in monitor.reports())
         assert observed == pipeline.counters.video_flows
@@ -286,7 +291,7 @@ class TestIngestResume:
     def test_resume_without_position_rejected(self, bank, campus_frames,
                                               tmp_path):
         pipeline = RealtimePipeline(bank)
-        pipeline.process_frames(campus_frames[:20])
+        _feed(pipeline, campus_frames[:20])
         pipeline.save_checkpoint(tmp_path / "ck")  # no ingest sidecar
         with pytest.raises(ConfigError):
             load_ingest_position(tmp_path / "ck")
@@ -333,7 +338,7 @@ class TestIngestResume:
                                                       campus_frames,
                                                       tmp_path):
         sharded = ShardedPipeline(bank, num_shards=2, batch_size=8)
-        sharded.process_frames(campus_frames[:60])
+        _feed(sharded, campus_frames[:60])
         sharded.save_checkpoint(tmp_path / "ck",
                                 extra={"ingest.json": "{\"x\": 1}"})
         (tmp_path / "ck" / "ingest.json").write_text("{\"x\": 2}")
@@ -371,7 +376,7 @@ class TestIngestResume:
         """A crash between the swap's two renames leaves the previous
         checkpoint under <dir>.replaced; the next load puts it back."""
         pipeline = RealtimePipeline(bank, batch_size=8)
-        pipeline.process_frames(campus_frames[:80])
+        _feed(pipeline, campus_frames[:80])
         pipeline.save_checkpoint(tmp_path / "ck")
         expected_counters = RealtimePipeline.restore(
             tmp_path / "ck", bank).counters
@@ -394,9 +399,9 @@ class TestParallelCrashRecovery:
         k = len(campus_frames) // 2
         oracle = ShardedPipeline(bank, num_shards=workers, batch_size=8,
                                  retention="both")
-        oracle.process_frames(campus_frames[:k])
+        _feed(oracle, campus_frames[:k])
         oracle.save_checkpoint(tmp_path / "oracle-ck")
-        oracle.process_frames(campus_frames[k:])
+        _feed(oracle, campus_frames[k:])
         oracle.flush()
 
         par = ParallelShardedPipeline(bank_dir, num_workers=workers,
@@ -404,14 +409,14 @@ class TestParallelCrashRecovery:
                                       checkpoint_dir=tmp_path / "ck",
                                       chunk_items=16)
         try:
-            par.process_frames(campus_frames[:k])
+            _feed(par, campus_frames[:k])
             par.save_checkpoint()
             # Feed part of the delta, then kill a worker cold.
-            par.process_frames(campus_frames[k:k + 60])
+            _feed(par, campus_frames[k:k + 60])
             victim = par._workers[workers - 1]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join()
-            par.process_frames(campus_frames[k + 60:])
+            _feed(par, campus_frames[k + 60:])
             par.flush()
             assert par.counters == oracle.counters
             assert par.shard_loads == oracle.shard_loads
@@ -430,18 +435,18 @@ class TestParallelCrashRecovery:
         journal reaches back to construction and recovery replays the
         whole stream into a fresh worker."""
         oracle = ShardedPipeline(bank, num_shards=2, batch_size=8)
-        oracle.process_frames(campus_frames)
+        _feed(oracle, campus_frames)
         oracle.flush()
         par = ParallelShardedPipeline(bank_dir, num_workers=2,
                                       batch_size=8,
                                       checkpoint_dir=tmp_path / "ck",
                                       chunk_items=16)
         try:
-            par.process_frames(campus_frames[:80])
+            _feed(par, campus_frames[:80])
             victim = par._workers[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join()
-            par.process_frames(campus_frames[80:])
+            _feed(par, campus_frames[80:])
             par.flush()
             assert par.counters == oracle.counters
             assert list(par.telemetry) == list(oracle.telemetry)
@@ -455,7 +460,7 @@ class TestParallelCrashRecovery:
         par._workers[0].terminate()
         par._workers[0].join()
         with pytest.raises(RuntimeError, match="worker 0"):
-            par.process_frames(campus_frames)
+            _feed(par, campus_frames)
         par.terminate()
 
     def test_restart_budget_exhausts(self, bank_dir, campus_frames,
@@ -469,7 +474,7 @@ class TestParallelCrashRecovery:
         par._workers[0].terminate()
         par._workers[0].join()
         with pytest.raises(RuntimeError, match="recovery gave up"):
-            par.process_frames(campus_frames)
+            _feed(par, campus_frames)
         par.terminate()
 
 
@@ -482,26 +487,26 @@ class TestRestoreVariants:
         classifications versus never swapping."""
         k = len(campus_frames) // 2
         oracle = RealtimePipeline(bank, batch_size=8)
-        oracle.process_frames(campus_frames[:k])
+        _feed(oracle, campus_frames[:k])
         oracle.save_checkpoint(tmp_path / "oracle-ck")
         oracle.reload_bank(retrained_bank)
-        oracle.process_frames(campus_frames[k:])
+        _feed(oracle, campus_frames[k:])
         oracle.flush()
 
         victim = RealtimePipeline(bank, batch_size=8)
-        victim.process_frames(campus_frames[:k])
+        _feed(victim, campus_frames[:k])
         victim.save_checkpoint(tmp_path / "ck")
         # victim dies here; restore into a fresh process + new bank
         resumed = RealtimePipeline.restore(tmp_path / "ck", bank)
         resumed.reload_bank(retrained_bank)
-        resumed.process_frames(campus_frames[k:])
+        _feed(resumed, campus_frames[k:])
         resumed.flush()
         assert resumed.counters == oracle.counters
         assert list(resumed.store) == list(oracle.store)
 
         # The reload mattered: a no-swap run classifies differently.
         noswap = RealtimePipeline.restore(tmp_path / "ck", bank)
-        noswap.process_frames(campus_frames[k:])
+        _feed(noswap, campus_frames[k:])
         noswap.flush()
         assert [r.prediction for r in noswap.store] != \
             [r.prediction for r in resumed.store]
@@ -511,16 +516,16 @@ class TestRestoreVariants:
             campus_frames, tmp_path):
         k = len(campus_frames) // 2
         oracle = ShardedPipeline(bank, num_shards=2, batch_size=8)
-        oracle.process_frames(campus_frames[:k])
+        _feed(oracle, campus_frames[:k])
         oracle.save_checkpoint(tmp_path / "oracle-ck")
         oracle.reload_bank(retrained_bank)
-        oracle.process_frames(campus_frames[k:])
+        _feed(oracle, campus_frames[k:])
         oracle.flush()
 
         first = ParallelShardedPipeline(bank_dir, num_workers=2,
                                         batch_size=8,
                                         checkpoint_dir=tmp_path / "ck")
-        first.process_frames(campus_frames[:k])
+        _feed(first, campus_frames[:k])
         first.save_checkpoint()
         first.terminate()  # simulated hard death of the whole process
 
@@ -528,7 +533,7 @@ class TestRestoreVariants:
             tmp_path / "ck", bank_dir, num_workers=2)
         try:
             resumed.reload_bank(retrained_bank_dir)
-            resumed.process_frames(campus_frames[k:])
+            _feed(resumed, campus_frames[k:])
             resumed.flush()
             assert resumed.counters == oracle.counters
             assert list(resumed.telemetry) == list(oracle.telemetry)
@@ -543,19 +548,19 @@ class TestRestoreVariants:
         counters, the record multiset, and every continued flow."""
         k = len(campus_frames) // 2
         oracle = RealtimePipeline(bank, batch_size=8)
-        oracle.process_frames(campus_frames[:k])
+        _feed(oracle, campus_frames[:k])
         oracle.save_checkpoint(tmp_path / "rt-ck")
-        oracle.process_frames(campus_frames[k:])
+        _feed(oracle, campus_frames[k:])
         oracle.flush()
 
         first = ShardedPipeline(bank, num_shards=before, batch_size=8)
-        first.process_frames(campus_frames[:k])
+        _feed(first, campus_frames[:k])
         first.save_checkpoint(tmp_path / "ck")
 
         resumed = ShardedPipeline.restore(tmp_path / "ck", bank,
                                           num_shards=after)
         assert resumed.num_shards == after
-        resumed.process_frames(campus_frames[k:])
+        _feed(resumed, campus_frames[k:])
         resumed.flush()
         assert resumed.counters == oracle.counters
         assert sorted((str(r.key), r.start_time, r.prediction)
@@ -566,7 +571,7 @@ class TestRestoreVariants:
         par = ParallelShardedPipeline.restore(
             tmp_path / "ck", bank_dir, num_workers=after)
         try:
-            par.process_frames(campus_frames[k:])
+            _feed(par, campus_frames[k:])
             par.flush()
             assert par.counters == oracle.counters
             assert sorted((str(r.key), r.start_time, r.prediction)

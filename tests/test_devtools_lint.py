@@ -122,7 +122,7 @@ def test_multi_id_suppression_covers_both_rules():
     source = """\
         import time
 
-        def process_frame(self):
+        def process_block(self):
             return time.time()  # replint: disable=RPL001,RPL006 -- demo
     """
     violations = lint(source, "repro/pipeline/engine.py")
@@ -448,7 +448,7 @@ def test_rpl005_non_serializing_save_is_ignored():
 def test_rpl006_fires_on_instrument_lookup_in_per_frame_function():
     source = """\
         class Engine:
-            def process_frame(self, data: bytes) -> None:
+            def process_packet(self, packet) -> None:
                 self.metrics.counter("repro_frames", "help").inc()
     """
     violations = lint(source, "repro/pipeline/x.py", "RPL006")
@@ -460,7 +460,7 @@ def test_rpl006_fires_on_observe_and_timing_in_per_frame_function():
         import time
 
         class Engine:
-            def process_raw(self, raw) -> None:
+            def process_block(self, decoded) -> None:
                 start = time.perf_counter()
                 self._hist.observe(time.perf_counter() - start)
     """
@@ -473,7 +473,7 @@ def test_rpl006_fires_on_observe_and_timing_in_per_frame_function():
 def test_rpl006_prebound_inc_and_batch_spans_are_clean():
     source = """\
         class Engine:
-            def process_frame(self, data: bytes) -> None:
+            def process_packet(self, packet) -> None:
                 if self._c_promotions is not None:
                     self._c_promotions.inc()
 

@@ -6,7 +6,7 @@ packets until eviction, and nothing ever drove eviction during a pcap
 replay. This suite pins the fixes:
 
 (a) no ``_FlowState`` retains handshake packets once it stops
-    collecting — on the eager path and the raw path;
+    collecting — on the eager path and the raw-frame block path;
 (b) ``live_flows`` stays below a fixed bound when ingest drives
     idle eviction from capture timestamps, while counters/telemetry
     stay untouched for captures shorter than the timeout;
@@ -20,7 +20,7 @@ import pytest
 
 from repro.fingerprints import Provider, Transport, UserPlatform, get_profile
 from repro.ml import RandomForestClassifier
-from repro.net import Packet, PcapWriter, TCPHeader, make_tcp_packet
+from repro.net import FrameBlock, Packet, PcapWriter, TCPHeader, decode_block, make_tcp_packet
 from repro.pipeline import (
     ClassifierBank,
     ParallelShardedPipeline,
@@ -35,6 +35,11 @@ from repro.trafficgen import (
     generate_lab_dataset,
 )
 from repro.util import SeededRNG
+
+
+def _feed(pipeline, frames):
+    """Raw ``(bytes, timestamp)`` frames through the block path."""
+    pipeline.process_block(decode_block(FrameBlock.from_frames(frames)))
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +108,7 @@ class TestHandshakeBufferRelease:
                                    seed=11)
         pipeline = RealtimePipeline(bank)
         if path == "raw":
-            pipeline.process_frames(frames)
+            _feed(pipeline, frames)
         else:
             for data, timestamp in frames:
                 pipeline.process_packet(Packet.from_bytes(data,
@@ -120,9 +125,8 @@ class TestHandshakeBufferRelease:
 
     def test_video_flows_release_buffers_too(self, bank, lab):
         pipeline = RealtimePipeline(bank)
-        pipeline.process_frames(
-            [(p.to_bytes(), p.timestamp)
-             for flow in list(lab)[:20] for p in flow.packets])
+        _feed(pipeline, [(p.to_bytes(), p.timestamp)
+                         for flow in list(lab)[:20] for p in flow.packets])
         done, retained = _retained_handshake_packets(pipeline)
         assert pipeline.counters.video_flows > 0
         assert retained == 0

@@ -5,8 +5,7 @@
 prediction (with exact confidences), the record order, and the rollup
 snapshot digests a bank trained with the pinned parameters must
 produce on it. This suite replays the committed bytes through
-eager/bulk ingest x serial/sharded/parallel (queue and shm) runtimes —
-and through the per-frame surface live sources feed, on every runtime —
+eager/bulk ingest x serial/sharded/parallel (queue and shm) runtimes
 and fails on *any* drift: the cheapest tier-1 guard for every future
 fast-path change.
 
@@ -25,8 +24,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ParseError
-from repro.net import PcapReader, RawPacket
 from repro.pipeline import (
     ParallelShardedPipeline,
     RealtimePipeline,
@@ -63,17 +60,6 @@ def _rollup_digest(cube, tmp_path, tag) -> str:
     save_rollup(cube, target)
     return hashlib.sha256(
         (target / "rollup.json").read_bytes()).hexdigest()
-
-
-def _parseable(frames):
-    """The frames a live ingest loop keeps (it skips what
-    ``RawPacket.parse`` rejects, as ``ingest_pcap`` does)."""
-    for data, timestamp in frames:
-        try:
-            RawPacket.parse(data, timestamp)
-        except ParseError:
-            continue
-        yield data, timestamp
 
 
 class TestGoldenTrace:
@@ -155,37 +141,6 @@ class TestGoldenTrace:
                 == sorted(map(tuple, expected["records"]))
             assert _rollup_digest(pipeline.rollup, tmp_path, transport) \
                 == expected["rollup_sha256_sharded3"]
-
-    @pytest.mark.parametrize("runtime", ("serial", "sharded", "parallel"))
-    def test_per_frame_surface_matches_pinned_bytes(
-            self, bank, bank_dir, expected, tmp_path, runtime):
-        """``process_frames`` is what a live source feeds (the daemon
-        never sees a block); driven with the reader's frames directly
-        it must land on the pinned bytes on every runtime."""
-        if runtime == "serial":
-            pipeline = RealtimePipeline(bank, batch_size=8,
-                                        retention="both")
-        elif runtime == "sharded":
-            pipeline = ShardedPipeline(bank, num_shards=3, batch_size=8,
-                                       retention="both")
-        else:
-            pipeline = ParallelShardedPipeline(
-                bank_dir, num_workers=3, batch_size=8, retention="both")
-        with pipeline, PcapReader(GOLDEN / "golden.pcap") as reader:
-            assert pipeline.process_frames(
-                _parseable(reader.frames())) == \
-                expected["ingest"]["frames"]
-            pipeline.flush()
-            assert asdict(pipeline.counters) == expected["counters"]
-            rows = record_rows(pipeline.store)
-            if runtime == "serial":
-                assert rows == expected["records"]
-            else:
-                assert sorted(map(tuple, rows)) == \
-                    sorted(map(tuple, expected["records"]))
-            assert _rollup_digest(pipeline.rollup, tmp_path, runtime) \
-                == expected["rollup_sha256_serial" if runtime == "serial"
-                            else "rollup_sha256_sharded3"]
 
     @pytest.mark.parametrize("workers", (1, 4))
     def test_worker_count_equivalence_under_builtin_pack(

@@ -1,13 +1,14 @@
-"""Ingest equivalence suite: the zero-copy raw-frame path must be
+"""Ingest equivalence suite: raw frames fed as blocks must be
 indistinguishable from the eager per-record ``Packet.from_bytes`` path.
 
-The eager path is the oracle; the raw path is the per-frame surface
-(``process_raw``/``process_frames``) every live source feeds. On the same
+The eager path is the oracle; the raw-frame path is the block feed every
+live source uses (``FrameBlock`` -> ``decode_block`` ->
+``process_block``), here without the replay's tick slicing. On the same
 campus-mix capture — video flows of every scenario interleaved with the
 non-video bulk that dominates a real tap, a slice of it VLAN-tagged and
 a slice reordered — the two paths must produce identical counters,
-identical predictions, and identical telemetry, unsharded and sharded,
-in-memory and through a pcap file.
+identical predictions at any batch size, and identical telemetry,
+unsharded and sharded, in-memory and through a pcap file.
 """
 
 from dataclasses import replace
@@ -19,10 +20,12 @@ from repro.errors import ParseError
 from repro.ml import RandomForestClassifier
 from repro.net import (
     EthernetHeader,
+    FrameBlock,
     Packet,
     PcapReader,
     PcapWriter,
     TCPHeader,
+    decode_block,
     make_tcp_packet,
 )
 from repro.pipeline import (
@@ -116,9 +119,13 @@ def _run_eager(bank, frames, **kw):
     return pipeline
 
 
+def _feed_block(pipeline, frames):
+    pipeline.process_block(decode_block(FrameBlock.from_frames(frames)))
+
+
 def _run_raw(bank, frames, **kw):
     pipeline = RealtimePipeline(bank, **kw)
-    pipeline.process_frames(frames)
+    _feed_block(pipeline, frames)
     pipeline.flush()
     return pipeline
 
@@ -161,7 +168,7 @@ class TestShardedRawVsEager:
             eager.process_packet(Packet.from_bytes(data, timestamp))
         eager.flush()
         raw = ShardedPipeline(bank, num_shards=4, batch_size=8)
-        raw.process_frames(campus_frames)
+        _feed_block(raw, campus_frames)
         raw.flush()
         assert raw.counters == eager.counters
         assert raw.shard_loads == eager.shard_loads
@@ -170,7 +177,7 @@ class TestShardedRawVsEager:
     def test_sharded_raw_equals_unsharded_raw(self, bank, campus_frames):
         flat = _run_raw(bank, campus_frames)
         sharded = ShardedPipeline(bank, num_shards=3)
-        sharded.process_frames(campus_frames)
+        _feed_block(sharded, campus_frames)
         sharded.flush()
         assert sharded.counters == flat.counters
         assert sorted(map(repr, sharded.telemetry)) == \
@@ -189,9 +196,13 @@ class TestPcapIngestGlue:
         eager.flush()
         raw = RealtimePipeline(bank)
         with PcapReader(path) as reader:
-            assert raw.process_frames(reader.frames()) == \
-                len(campus_frames)
+            # Small blocks: flows and handshakes straddle block cuts.
+            decoded = [decode_block(block)
+                       for block in reader.blocks(max_frames=64)]
+        for block in decoded:
+            raw.process_block(block)
         raw.flush()
+        assert sum(map(len, decoded)) == len(campus_frames)
         assert res_eager == (len(campus_frames), 0)
         assert raw.counters == eager.counters
         # pcap timestamps are quantized to microseconds on write: both

@@ -1,19 +1,22 @@
-"""RawPacket unit behavior: the zero-copy view must expose the same
-hot-path surface as the eager parse, reject the same malformed frames,
-and promote losslessly."""
+"""Block decode on single raw frames: ``decode_block`` must extract the
+fields the eager ``Packet.from_bytes`` parse gives, reject the same
+malformed frames with the same ``ParseError`` text, and promote
+losslessly."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.errors import ParseError
 from repro.net import (
     EthernetHeader,
+    FrameBlock,
     Packet,
     PcapReader,
     PcapWriter,
-    RawPacket,
     TCPHeader,
+    decode_block,
     make_tcp_packet,
     make_udp_packet,
     mss_option,
@@ -34,50 +37,64 @@ def _tcp_packet(payload=b"abcdef", vlan_id=None):
     return packet
 
 
+def _decode_one(data, timestamp=0.0):
+    return decode_block(FrameBlock.from_frames([(data, timestamp)]))
+
+
+def _lane_fields(decoded, i=0):
+    key, src, dst = decoded.make_key(i)
+    vlan = int(decoded.vlan_id[i])
+    return (int(decoded.protocol[i]), int(decoded.src_port[i]),
+            int(decoded.dst_port[i]), src, dst, int(decoded.ttl[i]),
+            None if vlan < 0 else vlan, key, int(decoded.payload_len[i]))
+
+
+def _packet_fields(packet):
+    return (packet.ip.protocol, packet.src_port, packet.dst_port,
+            packet.ip.src, packet.ip.dst, packet.ip.ttl, packet.vlan_id,
+            packet.canonical_key_tuple, len(packet.payload))
+
+
 class TestFieldEquality:
     @pytest.mark.parametrize("vlan_id", [None, 7, 4095])
     def test_tcp_fields_match_eager(self, vlan_id):
-        packet = _tcp_packet(vlan_id=vlan_id)
-        data = packet.to_bytes()
-        raw = RawPacket.parse(data, 3.25)
+        data = _tcp_packet(vlan_id=vlan_id).to_bytes()
+        decoded = _decode_one(data, 3.25)
         eager = Packet.from_bytes(data, 3.25)
-        assert raw.is_tcp and not raw.is_udp
-        assert (raw.src_port, raw.dst_port) == \
-            (eager.src_port, eager.dst_port)
-        assert raw.src_ip == eager.ip.src
-        assert raw.dst_ip == eager.ip.dst
-        assert raw.ttl == eager.ip.ttl == 128
-        assert raw.vlan_id == eager.vlan_id == vlan_id
-        assert raw.timestamp == eager.timestamp
-        assert raw.canonical_key_tuple == eager.canonical_key_tuple
-        assert raw.payload_len == len(eager.payload)
-        assert bytes(raw.payload) == eager.payload
+        assert decoded.valid[0] and decoded.https[0]
+        assert _lane_fields(decoded) == _packet_fields(eager)
+        assert eager.ip.ttl == 128 and eager.vlan_id == vlan_id
+        assert float(decoded.timestamps[0]) == eager.timestamp
+        assert decoded.syn_noack[0]
 
     def test_udp_fields_match_eager(self):
         packet = make_udp_packet("172.16.3.4", "8.8.4.4", 50001, 443,
                                  payload=b"\x01" * 48, timestamp=9.0)
         data = packet.to_bytes()
-        raw = RawPacket.parse(data, 9.0)
+        decoded = _decode_one(data, 9.0)
         eager = Packet.from_bytes(data, 9.0)
-        assert raw.is_udp and not raw.is_tcp
-        assert raw.canonical_key_tuple == eager.canonical_key_tuple
-        assert raw.payload_len == 48
-        assert bytes(raw.payload) == eager.payload
+        assert _lane_fields(decoded) == _packet_fields(eager)
+        assert int(decoded.payload_len[0]) == 48
+        assert not decoded.syn_noack[0]
 
     def test_ethernet_trailer_excluded_from_payload(self):
         """Padding after the IPv4 total length (common on short frames)
-        must not leak into the payload — same bound as the eager path."""
+        must not count toward the payload — same bound as the eager
+        path."""
         data = _tcp_packet(payload=b"xy").to_bytes() + b"\x00" * 6
-        raw = RawPacket.parse(data)
-        eager = Packet.from_bytes(data)
-        assert bytes(raw.payload) == eager.payload == b"xy"
+        decoded = _decode_one(data)
+        assert Packet.from_bytes(data).payload == b"xy"
+        assert int(decoded.payload_len[0]) == 2
+        assert decoded.promote(0).payload == b"xy"
 
     def test_memoryview_input(self):
         packet = _tcp_packet()
-        data = memoryview(packet.to_bytes())
-        raw = RawPacket.parse(data, 3.25)
-        assert raw.canonical_key_tuple == packet.canonical_key_tuple
-        assert raw.promote() == Packet.from_bytes(bytes(data), 3.25)
+        data = packet.to_bytes()
+        block = FrameBlock(memoryview(data), np.array([0]),
+                           np.array([len(data)]), np.array([3.25]))
+        decoded = decode_block(block)
+        assert decoded.make_key(0)[0] == packet.canonical_key_tuple
+        assert decoded.promote(0) == Packet.from_bytes(data, 3.25)
 
 
 class TestPromotion:
@@ -85,7 +102,7 @@ class TestPromotion:
     def test_promote_equals_eager(self, vlan_id):
         packet = _tcp_packet(vlan_id=vlan_id)
         data = packet.to_bytes()
-        promoted = RawPacket.parse(data, 3.25).promote()
+        promoted = _decode_one(data, 3.25).promote(0)
         assert promoted == Packet.from_bytes(data, 3.25)
         assert promoted.tcp.mss == 1460
         assert promoted.tcp.window_scale == 8
@@ -111,8 +128,8 @@ def _corruptions():
     bad_ulen[14 + 20 + 4:14 + 20 + 6] = (4).to_bytes(2, "big")
     yield "bad-udp-length", bytes(bad_ulen)
     # Valid data offset but malformed option framing inside it: the
-    # eager path rejects these while parsing options, so the raw path
-    # must walk (and reject) them too.
+    # eager path rejects these while parsing options, so the block
+    # decode must walk (and reject) them too.
     bad_optlen = bytearray(base)
     bad_optlen[14 + 20 + 20 + 1] = 0  # MSS option length byte -> 0
     yield "bad-tcp-option-length", bytes(bad_optlen)
@@ -130,10 +147,16 @@ class TestRejection:
                              list(_corruptions()),
                              ids=[n for n, _ in _corruptions()])
     def test_raw_and_eager_reject_the_same_frames(self, name, data):
-        with pytest.raises(ParseError):
-            RawPacket.parse(data)
-        with pytest.raises(ParseError):
+        """decode_block masks the frame invalid, and strict-mode ingest
+        (``raise_invalid``) raises the oracle's exact error text."""
+        with pytest.raises(ParseError) as eager:
             Packet.from_bytes(data)
+        decoded = _decode_one(data)
+        assert not decoded.valid[0]
+        assert decoded.first_invalid() == 0
+        with pytest.raises(ParseError) as bulk:
+            decoded.raise_invalid(0)
+        assert str(bulk.value) == str(eager.value)
 
 
 class TestPcapStreaming:
@@ -150,12 +173,14 @@ class TestPcapStreaming:
         with PcapReader(path) as reader:
             eager = list(reader.packets())
         with PcapReader(path) as reader:
-            raws = list(reader.raw_packets())
-        assert len(raws) == len(eager)
-        for raw, pkt in zip(raws, eager):
-            assert raw.timestamp == pkt.timestamp
-            assert raw.canonical_key_tuple == pkt.canonical_key_tuple
-            assert raw.promote() == pkt
+            decoded = [decode_block(block)
+                       for block in reader.blocks(max_frames=4)]
+        lanes = [(block, i) for block in decoded for i in range(len(block))]
+        assert len(lanes) == len(eager)
+        for (block, i), pkt in zip(lanes, eager):
+            assert float(block.timestamps[i]) == pkt.timestamp
+            assert block.make_key(i)[0] == pkt.canonical_key_tuple
+            assert block.promote(i) == pkt
 
     def test_frames_round_numbers(self, tmp_path):
         path = tmp_path / "frames.pcap"

@@ -22,7 +22,7 @@ import os
 import pytest
 
 from repro.ml import RandomForestClassifier
-from repro.net import Packet, PcapWriter
+from repro.net import FrameBlock, Packet, PcapWriter, decode_block
 from repro.obs import (
     COUNT_BUCKETS,
     ComponentHealth,
@@ -44,6 +44,11 @@ from repro.pipeline import (
 from repro.fingerprints.model import Provider, Transport
 from repro.pipeline.confidence import PlatformPrediction
 from repro.trafficgen import generate_lab_dataset
+
+
+def _feed(pipeline, frames):
+    """Raw ``(bytes, timestamp)`` frames through the block path."""
+    pipeline.process_block(decode_block(FrameBlock.from_frames(frames)))
 
 
 # --- fixtures ---------------------------------------------------------------
@@ -414,14 +419,14 @@ class TestPipelineInstrumentation:
         plain = RealtimePipeline(bank, batch_size=8)
         inst = RealtimePipeline(bank, batch_size=8, metrics=True)
         for pipeline in (plain, inst):
-            pipeline.process_frames(frames)
+            _feed(pipeline, frames)
             pipeline.flush()
         assert inst.counters == plain.counters
         assert list(inst.store) == list(plain.store)
 
     def test_raw_mode_records_promotions_and_spans(self, bank, frames):
         pipeline = RealtimePipeline(bank, batch_size=8, metrics=True)
-        pipeline.process_frames(frames)
+        _feed(pipeline, frames)
         pipeline.flush()
         registry = pipeline.export_metrics()
         assert registry.value("repro_promotions_total") > 0
@@ -447,7 +452,7 @@ class TestPipelineInstrumentation:
 
     def test_eviction_sweep_counts_and_times(self, bank, frames):
         pipeline = RealtimePipeline(bank, batch_size=8, metrics=True)
-        pipeline.process_frames(frames)
+        _feed(pipeline, frames)
         last = max(t for _, t in frames)
         emitted = pipeline.flush_idle(now=last + 10_000.0,
                                       idle_timeout=60.0)
@@ -465,7 +470,7 @@ class TestPipelineInstrumentation:
         an uninstrumented pipeline still exports them — only timing
         spans need metrics=True."""
         pipeline = RealtimePipeline(bank, batch_size=8)
-        pipeline.process_frames(frames)
+        _feed(pipeline, frames)
         pipeline.flush()
         registry = pipeline.export_metrics()
         assert registry.value("repro_packets_total") == \
@@ -475,7 +480,7 @@ class TestPipelineInstrumentation:
 
     def test_export_is_idempotent(self, bank, frames):
         pipeline = RealtimePipeline(bank, batch_size=8, metrics=True)
-        pipeline.process_frames(frames)
+        _feed(pipeline, frames)
         pipeline.flush()
         assert pipeline.export_metrics().snapshot() == \
             pipeline.export_metrics().snapshot()
@@ -578,13 +583,13 @@ class TestParallelObservability:
                     bank_dir, num_workers=2, batch_size=8,
                     checkpoint_dir=tmp_path / "ck", chunk_items=16,
                     metrics=True, events=log) as par:
-            par.process_frames(frames[:k])
+            _feed(par, frames[:k])
             par.save_checkpoint()
-            par.process_frames(frames[k:k + 40])
+            _feed(par, frames[k:k + 40])
             victim = par._workers[1]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join()
-            par.process_frames(frames[k + 40:])
+            _feed(par, frames[k + 40:])
             par.flush()
             registry = par.export_metrics()
             assert registry.value("repro_worker_respawns_total") >= 1
@@ -606,7 +611,7 @@ class TestParallelObservability:
         with ParallelShardedPipeline(bank_dir, num_workers=2,
                                      batch_size=8,
                                      metrics=True) as par:
-            par.process_frames(frames)
+            _feed(par, frames)
             per_shard = par.shard_live_flows
             assert len(per_shard) == 2
             assert sum(per_shard) == par.live_flows

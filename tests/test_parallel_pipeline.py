@@ -17,7 +17,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.fingerprints import Provider, Transport, UserPlatform, get_profile
 from repro.ml import RandomForestClassifier
-from repro.net import Packet, PcapWriter, TCPHeader, make_tcp_packet
+from repro.net import FrameBlock, Packet, PcapWriter, TCPHeader, decode_block, make_tcp_packet
 from repro.pipeline import (
     ClassifierBank,
     ParallelShardedPipeline,
@@ -35,6 +35,11 @@ from repro.trafficgen import (
     generate_lab_dataset,
 )
 from repro.util import SeededRNG
+
+def _feed(pipeline, frames):
+    """Raw ``(bytes, timestamp)`` frames through the block path."""
+    pipeline.process_block(decode_block(FrameBlock.from_frames(frames)))
+
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -95,7 +100,7 @@ def campus_frames(lab):
 def _run_serial(bank, frames, num_shards, **kw):
     pipeline = ShardedPipeline(bank, num_shards=num_shards,
                                batch_size=8, **kw)
-    pipeline.process_frames(frames)
+    _feed(pipeline, frames)
     pipeline.flush()
     return pipeline
 
@@ -124,7 +129,7 @@ class TestParallelVsSharded:
         with ParallelShardedPipeline(bank_dir, num_workers=workers,
                                      batch_size=8,
                                      retention="both") as par:
-            par.process_frames(campus_frames)
+            _feed(par, campus_frames)
             par.flush()
             _assert_equivalent(par, serial, tmp_path, f"w{workers}")
             assert par.counters.video_flows > 0
@@ -178,12 +183,12 @@ class TestParallelVsSharded:
         serial = _run_serial(bank, campus_frames, 2)
         with ParallelShardedPipeline(bank_dir, num_workers=2,
                                      batch_size=8) as par:
-            par.process_frames(campus_frames)
+            _feed(par, campus_frames)
             # Before any flush: the live flow table must look exactly
             # like the serial dispatcher's.
             serial_live = ShardedPipeline(bank, num_shards=2,
                                           batch_size=8)
-            serial_live.process_frames(campus_frames)
+            _feed(serial_live, campus_frames)
             assert par.live_flows == serial_live.live_flows
             assert par.pending_classifications == \
                 serial_live.pending_classifications
@@ -210,7 +215,7 @@ class TestParallelLifecycle:
     def test_close_is_idempotent_and_final(self, bank_dir,
                                            campus_frames):
         par = ParallelShardedPipeline(bank_dir, num_workers=2)
-        par.process_frames(campus_frames[:50])
+        _feed(par, campus_frames[:50])
         par.flush()
         counters = par.counters
         par.close()
@@ -219,7 +224,7 @@ class TestParallelLifecycle:
         assert par.counters == counters
         # ... but feeding a closed pipeline is an error.
         with pytest.raises(RuntimeError):
-            par.process_frames(campus_frames[:2])
+            _feed(par, campus_frames[:2])
         with pytest.raises(RuntimeError):
             par.flush()
 
@@ -234,7 +239,7 @@ class TestParallelLifecycle:
         par._workers[0].terminate()
         par._workers[0].join()
         with pytest.raises(RuntimeError, match="worker 0"):
-            par.process_frames(campus_frames)
+            _feed(par, campus_frames)
         par.terminate()
 
     def test_worker_error_surfaces_in_parent(self, bank_dir):

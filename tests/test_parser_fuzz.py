@@ -2,6 +2,7 @@
 ParseError or CryptoError, never an unhandled exception — on arbitrary
 or mutated bytes. A border-tap pipeline sees every kind of garbage."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,9 +132,9 @@ class TestMutatedValidMessages:
 # A border tap sees hostile and half-broken QUIC as surely as hostile
 # TLS: every mutant of a *valid, decryptable* client Initial must fail
 # cleanly (ParseError/CryptoError, never an unhandled exception), and
-# the zero-copy raw ingest path must reject exactly the same mutants
-# the eager path rejects — the rejection-parity half of the PR 3
-# ingest equivalence contract, extended to the QUIC surface.
+# the bulk ingest path must reject exactly the same mutants the eager
+# path rejects — the rejection-parity half of the ingest equivalence
+# contract, extended to the QUIC surface.
 
 import random
 
@@ -144,7 +145,7 @@ from repro.fingerprints.specs import (
     build_transport_parameters,
 )
 from repro.net import make_udp_packet
-from repro.net.rawpacket import RawPacket
+from repro.net.rawpacket import FrameBlock, decode_block
 from repro.pipeline.engine import RealtimePipeline
 from repro.quic import QuicInitial, protect_client_initial
 from repro.quic.initial import build_crypto_frame, extract_crypto_stream
@@ -272,35 +273,13 @@ class TestQuicInitialMutations:
     def test_raw_vs_eager_rejection_parity(self, tag, datagram):
         """Wrapped in a UDP/443 frame, every mutant must drive
         parse_flow_handshake to the same outcome through the eager
-        packet path and the zero-copy raw path."""
+        packet and the block decode's promotion of the raw frame."""
         frame = make_udp_packet("10.0.0.1", "93.184.216.34", 50000, 443,
                                 payload=datagram).to_bytes()
-
-        def outcome(packet):
-            try:
-                record = parse_flow_handshake([packet])
-                return ("ok", record.transport, record.sni)
-            except CLEAN_ERRORS as exc:
-                return ("rejected", type(exc).__name__)
-
-        eager = outcome(Packet.from_bytes(frame, 1.0))
-        raw = outcome(RawPacket.parse(frame, 1.0).promote())
-        assert eager == raw
-
-    def test_pipeline_survives_whole_corpus(self, quic_fuzz_bank):
-        """The full mutant corpus through a live pipeline: no crash,
-        and eager/raw counters stay identical."""
-        eager = RealtimePipeline(quic_fuzz_bank)
-        raw = RealtimePipeline(quic_fuzz_bank)
-        for i, (tag, datagram) in enumerate(self.CORPUS):
-            frame = make_udp_packet(f"10.1.{i % 200}.2", "93.184.216.34",
-                                    40000 + i, 443,
-                                    payload=datagram).to_bytes()
-            eager.process_packet(Packet.from_bytes(frame, float(i)))
-            raw.process_raw(RawPacket.parse(frame, float(i)))
-        eager.flush()
-        raw.flush()
-        assert eager.counters == raw.counters
+        decoded = decode_block(FrameBlock.from_frames([(frame, 1.0)]))
+        assert decoded.https[0]
+        assert _handshake_outcome(Packet.from_bytes(frame, 1.0)) == \
+            _handshake_outcome(decoded.promote(0))
 
     def test_valid_initial_still_parses(self):
         initial = unprotect_client_initial(_valid_quic_initial())
@@ -311,6 +290,14 @@ class TestQuicInitialMutations:
         with pytest.raises(ParseError):
             extract_crypto_stream(build_crypto_frame(b"x" * 10,
                                                      offset=5))
+
+
+def _handshake_outcome(packet):
+    try:
+        record = parse_flow_handshake([packet])
+        return ("ok", record.transport, record.sni)
+    except CLEAN_ERRORS as exc:
+        return ("rejected", type(exc).__name__)
 
 
 @pytest.fixture(scope="module")
@@ -325,20 +312,22 @@ def quic_fuzz_bank():
             n_estimators=2, max_depth=6, random_state=0))
 
 
-# --- Vectorized bulk decode: the per-frame parser is the oracle ---------------
+# --- Vectorized bulk decode: Packet.from_bytes is the oracle ------------------
 #
 # decode_block() promises to accept/reject exactly the frames
-# RawPacket.parse accepts/rejects and to extract identical fields for
-# the accepted ones. These property tests drive that contract with
-# random bytes, mutated valid frames, truncations, zero/max-length
-# frames, packed-wire-format corruption, pcap records straddling block
-# boundaries, and the full QUIC mutant corpus through bulk ingest.
+# Packet.from_bytes accepts/rejects and to extract the eager packet's
+# fields for the accepted ones. These property tests drive that
+# contract with random bytes, mutated valid frames, truncations,
+# zero/max-length frames, packed-wire-format corruption, pcap records
+# straddling block boundaries, and the full QUIC mutant corpus through
+# bulk ingest.
 
 from dataclasses import replace
 
+from hypothesis import example
+
 from repro.net import EthernetHeader, PcapReader, PcapWriter, TCPHeader
-from repro.net import make_tcp_packet
-from repro.net.rawpacket import FrameBlock, decode_block
+from repro.net import make_tcp_packet, mss_option, window_scale_option
 
 
 def _base_frames() -> list[bytes]:
@@ -366,6 +355,14 @@ def _base_frames() -> list[bytes]:
 
 
 _BASES = _base_frames()
+
+# TCP/443 with MSS + window-scale options and no payload (62 bytes): a
+# frame whose decode walks option bytes.
+_OPTIONS_FRAME = make_tcp_packet(
+    "10.0.0.5", "93.184.216.34",
+    TCPHeader(src_port=50004, dst_port=443, seq=9, flag_syn=True,
+              options=(mss_option(1460), window_scale_option(7))),
+    timestamp=1.0).to_bytes()
 
 # A frame is random garbage, a mutant of a valid frame, a truncation
 # of one, or a valid frame verbatim — the mix that makes both accept
@@ -400,24 +397,24 @@ class TestDecodeBlockOracleParity:
         assert len(decoded) == len(frames)
         for i, data in enumerate(frames):
             try:
-                raw = RawPacket.parse(data, float(i))
+                packet = Packet.from_bytes(data, float(i))
             except CLEAN_ERRORS:
                 assert not decoded.valid[i], (i, data.hex())
                 continue
             assert decoded.valid[i], (i, data.hex())
-            assert int(decoded.protocol[i]) == raw.protocol
-            assert int(decoded.src_port[i]) == raw.src_port
-            assert int(decoded.dst_port[i]) == raw.dst_port
-            assert int(decoded.ttl[i]) == raw.ttl
-            assert int(decoded.payload_len[i]) == raw.payload_len
+            assert int(decoded.protocol[i]) == packet.ip.protocol
+            assert int(decoded.src_port[i]) == packet.src_port
+            assert int(decoded.dst_port[i]) == packet.dst_port
+            assert int(decoded.ttl[i]) == packet.ip.ttl
+            assert int(decoded.payload_len[i]) == len(packet.payload)
             vlan = int(decoded.vlan_id[i])
-            assert (None if vlan < 0 else vlan) == raw.vlan_id
+            assert (None if vlan < 0 else vlan) == packet.vlan_id
             key, src, dst = decoded.make_key(i)
-            assert key == raw.canonical_key_tuple
-            assert (src, dst) == (raw.src_ip, raw.dst_ip)
+            assert key == packet.canonical_key_tuple
+            assert (src, dst) == (packet.ip.src, packet.ip.dst)
             assert bool(decoded.https[i]) == (
-                raw.src_port == 443 or raw.dst_port == 443)
-            packet = decoded.promote(i)
+                packet.src_port == 443 or packet.dst_port == 443)
+            assert decoded.promote(i) == packet
             assert bool(decoded.syn_noack[i]) == bool(
                 packet.tcp is not None and packet.tcp.flag_syn
                 and not packet.tcp.flag_ack)
@@ -428,7 +425,7 @@ class TestDecodeBlockOracleParity:
         decoded = decode_block(_block_of(frames))
         for i, data in enumerate(frames):
             try:
-                RawPacket.parse(data, float(i))
+                Packet.from_bytes(data, float(i))
                 expect = True
             except CLEAN_ERRORS:
                 expect = False
@@ -468,8 +465,8 @@ class TestPackedWireFormat:
     @settings(max_examples=150)
     def test_arbitrary_bytes_unpack_cleanly_or_decode(self, data):
         """Garbage either fails with ParseError at unpack or yields a
-        block whose decode never crashes (corrupt offset tables are
-        clamped and masked invalid, not chased out of bounds)."""
+        block whose decode never crashes (a frame table that is not
+        monotone or overruns the payload is rejected at unpack)."""
         try:
             block = FrameBlock.unpack(data)
         except CLEAN_ERRORS:
@@ -481,16 +478,42 @@ class TestPackedWireFormat:
            st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=0, max_value=255))
     @settings(max_examples=100)
+    # Packed as [_OPTIONS_FRAME (62 B), _BASES[0] (118 B)] behind a
+    # 32-byte header + table. payload_bytes (offset 4) cut to 58: the
+    # options frame's table end runs past the buffer. ends[0]'s second
+    # byte (offset 9) set to 1: that end overstates by 256 bytes.
+    @example(frames=[_OPTIONS_FRAME], pos=4, val=58)
+    @example(frames=[_OPTIONS_FRAME], pos=9, val=1)
     def test_mutated_packed_block_cleanly_splits(self, frames, pos, val):
         packed = bytearray(
             next(iter(_block_of(frames + [_BASES[0]]).pack_chunks())))
         packed[pos % len(packed)] = val
         try:
-            decoded = decode_block(FrameBlock.unpack(bytes(packed)))
+            block = FrameBlock.unpack(bytes(packed))
         except CLEAN_ERRORS:
             return
-        assert decoded.valid_count + decoded.invalid_count == \
-            len(decoded)
+        # A table unpack accepts stays inside the bytes it was given,
+        # so every lane answers to the oracle on its own bytes.
+        assert (block.ends <= len(block.buf)).all()
+        decoded = decode_block(block)
+        for i in range(len(block)):
+            try:
+                Packet.from_bytes(block.frame_bytes(i))
+                accepted = True
+            except CLEAN_ERRORS:
+                accepted = False
+            assert bool(decoded.valid[i]) == accepted, i
+
+    def test_decode_masks_lanes_past_the_buffer(self):
+        """A block built by hand (not through unpack) whose table
+        overstates a frame's end: the lane is invalid, never decoded
+        over bytes that do not exist."""
+        data = _OPTIONS_FRAME
+        block = FrameBlock(data[:58], np.array([0, 0]),
+                           np.array([len(data), len(data) + 200]),
+                           np.array([0.0, 1.0]))
+        decoded = decode_block(block)
+        assert not decoded.valid.any()
 
 
 class TestBlockReaderBoundaries:
@@ -543,14 +566,8 @@ class TestQuicMutantsThroughBulkIngest:
         assert decoded.valid_count == len(corpus)
         assert decoded.https_indices.size == len(corpus)
         for i, (data, timestamp) in enumerate(frames):
-            def outcome(packet):
-                try:
-                    record = parse_flow_handshake([packet])
-                    return ("ok", record.transport, record.sni)
-                except CLEAN_ERRORS as exc:
-                    return ("rejected", type(exc).__name__)
-            eager = outcome(Packet.from_bytes(data, timestamp))
-            bulk = outcome(decoded.promote(i))
+            eager = _handshake_outcome(Packet.from_bytes(data, timestamp))
+            bulk = _handshake_outcome(decoded.promote(i))
             assert eager == bulk, corpus[i][0]
 
     def test_pipeline_counters_parity(self, quic_fuzz_bank):

@@ -1,12 +1,13 @@
 """Perf regression guard (marked ``perf``; deselect with -m "not perf").
 
 A vectorization regression in the packed forest, the batch encoder,
-``classify_batch`` grouping, or the zero-copy ingest layer would
+``classify_batch`` grouping, or the bulk ingest layer would
 silently rot throughput while every functional test stays green. Three
 floors are pinned here: on a 500-flow corpus the batched classification
 path must not be slower than the per-flow path; on a bulk-dominated
-campus trace the raw-frame ingest path must not be slower than eager
-per-packet ``Packet.from_bytes``; and on a 443-heavy mix the
+campus trace the block ingest path (``decode_block`` +
+``process_block``) must not be slower than eager per-packet
+``Packet.from_bytes``; and on a 443-heavy mix the
 multiprocess shard runtime must reach ≥1.5x pkt/s at 4 workers vs 1
 (machines with ≥4 cores only — fewer cores time-slice the workers and
 there is nothing to scale onto). In practice every floor clears with
@@ -22,7 +23,7 @@ from repro.features.extract import extract_attributes, parse_flow_handshake
 from repro.fingerprints import Provider, Transport, UserPlatform, get_profile
 from repro.fingerprints.providers import detect_provider
 from repro.ml import RandomForestClassifier
-from repro.net import Packet, TCPHeader, make_tcp_packet
+from repro.net import FrameBlock, Packet, TCPHeader, decode_block, make_tcp_packet
 from repro.pipeline import (
     ClassifierBank,
     ParallelShardedPipeline,
@@ -74,7 +75,8 @@ def test_batched_classification_not_slower():
 @pytest.mark.perf
 def test_raw_ingest_not_slower_than_eager():
     """Ingest floor: on a campus-mix trace dominated by non-video bulk
-    (the regime the paper's tap lives in), ``process_frames`` must beat
+    (the regime the paper's tap lives in), the raw frames packed into a
+    block and fed through ``decode_block`` + ``process_block`` must beat
     feeding eager ``Packet.from_bytes`` packets one by one — and must
     produce identical counters and telemetry while doing it."""
     lab = generate_lab_dataset(seed=44, scale=0.04)
@@ -106,7 +108,7 @@ def test_raw_ingest_not_slower_than_eager():
     def time_raw():
         pipeline = RealtimePipeline(bank, batch_size=32)
         start = time.perf_counter()
-        pipeline.process_frames(frames)
+        pipeline.process_block(decode_block(FrameBlock.from_frames(frames)))
         pipeline.flush()
         return time.perf_counter() - start, pipeline
 
@@ -117,7 +119,7 @@ def test_raw_ingest_not_slower_than_eager():
     assert fast.counters == ref.counters
     assert list(fast.store) == list(ref.store)
     assert t_raw <= t_eager, (
-        f"raw ingest slower than eager from_bytes: "
+        f"block ingest slower than eager from_bytes: "
         f"{t_raw:.3f}s vs {t_eager:.3f}s over {len(frames)} frames")
 
 
@@ -160,7 +162,8 @@ def test_parallel_workers_scale_throughput(tmp_path):
         with ParallelShardedPipeline(bank_dir, num_workers=workers,
                                      batch_size=64) as pipeline:
             start = time.perf_counter()
-            pipeline.process_frames(frames)
+            pipeline.process_block(
+                decode_block(FrameBlock.from_frames(frames)))
             pipeline.flush()
             elapsed = time.perf_counter() - start
             return elapsed, pipeline.counters

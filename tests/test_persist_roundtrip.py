@@ -28,6 +28,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.fingerprints import Provider, Transport
 from repro.ml import RandomForestClassifier
+from repro.net import FrameBlock, decode_block
 from repro.net.flow import FlowKey
 from repro.pipeline import (
     ClassifierBank,
@@ -45,6 +46,11 @@ from repro.telemetry import (
     save_rollup,
 )
 from repro.trafficgen import generate_lab_dataset
+
+
+def _feed(pipeline, frames):
+    """Raw ``(bytes, timestamp)`` frames through the block path."""
+    pipeline.process_block(decode_block(FrameBlock.from_frames(frames)))
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +170,7 @@ class TestCheckpointRoundtrip:
         cut = rng.randrange(1, len(campus_frames))
         pipeline = RealtimePipeline(bank, batch_size=rng.choice((1, 8)),
                                     retention="both")
-        pipeline.process_frames(campus_frames[:cut])
+        _feed(pipeline, campus_frames[:cut])
         pipeline.save_checkpoint(tmp_path / "a")
         restored = restore_realtime(tmp_path / "a", bank)
         restored.save_checkpoint(tmp_path / "b")
@@ -208,7 +214,7 @@ class TestCorruptionRejected:
     def checkpoint_dir(self, bank, campus_frames, tmp_path):
         pipeline = RealtimePipeline(bank, batch_size=8,
                                     retention="both")
-        pipeline.process_frames(campus_frames[:150])
+        _feed(pipeline, campus_frames[:150])
         path = tmp_path / "ck"
         pipeline.save_checkpoint(path)
         return path

@@ -241,17 +241,15 @@ class TestShmPipeline:
             assert all(ring is None for ring in par._rings)
 
     def test_rings_carry_blocks_only(self, bank_dir, capture):
-        """``transport`` is how *blocks* travel: per-frame chunks ride
-        the command queue under either value (measured faster there,
-        see docs/ARCHITECTURE.md), so a shm runtime fed through
-        ``process_frames`` never touches its rings, while
-        ``process_block`` advances them."""
+        """``transport`` is how *blocks* travel: packet chunks (the
+        eager oracle's ``process_packet``) ride the command queue under
+        either value, so a shm runtime fed eagerly never touches its
+        rings, while ``process_block`` advances them."""
         path, counters, rows = capture
         with ParallelShardedPipeline(bank_dir, num_workers=2,
                                      batch_size=4,
                                      transport="shm") as par:
-            with PcapReader(path) as reader:
-                par.process_frames(reader.frames())
+            ingest_pcap(par, path, mode="eager")
             par.flush()
             assert [ring.written for ring in par._rings] == [0, 0]
             assert asdict(par.counters) == counters
