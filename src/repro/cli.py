@@ -662,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", required=True, help="bank directory")
     train.add_argument("--scale", type=float, default=0.2)
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--trees", type=int, default=15)
+    train.add_argument("--trees", type=_positive_int, default=15)
     train.add_argument("--dataset",
                        help="train from an exported dataset directory")
     train.add_argument(

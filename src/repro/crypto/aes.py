@@ -5,9 +5,8 @@ protected with AES-128-GCM and AES-128-based header protection, and the
 offline environment has no crypto library — so the cipher is implemented
 from scratch here.
 
-Only the forward cipher is needed by GCM (CTR mode) and by QUIC header
-protection (ECB of a 16-byte sample), but the inverse cipher is provided
-too so the implementation is independently testable via round trips.
+Only the forward cipher is implemented: GCM (CTR mode) and QUIC header
+protection (ECB of a 16-byte sample) never run AES backwards.
 
 The S-box is derived programmatically from the GF(2^8) inverse plus the
 affine transform rather than transcribed, eliminating one class of
@@ -34,7 +33,7 @@ def _gf_mul(a: int, b: int) -> int:
     return out
 
 
-def _build_sbox() -> tuple[list[int], list[int]]:
+def _build_sbox() -> list[int]:
     # Multiplicative inverses via exp/log tables over generator 3.
     exp = [0] * 256
     log = [0] * 256
@@ -51,7 +50,6 @@ def _build_sbox() -> tuple[list[int], list[int]]:
         return exp[255 - log[v]]
 
     sbox = [0] * 256
-    inv_sbox = [0] * 256
     for v in range(256):
         y = inverse(v)
         # Affine transform: y ^ rot(y,1) ^ rot(y,2) ^ rot(y,3) ^ rot(y,4) ^ 0x63
@@ -59,12 +57,10 @@ def _build_sbox() -> tuple[list[int], list[int]]:
         for shift in (1, 2, 3, 4):
             r ^= ((y << shift) | (y >> (8 - shift))) & 0xFF
         sbox[v] = r ^ 0x63
-    for v, s in enumerate(sbox):
-        inv_sbox[s] = v
-    return sbox, inv_sbox
+    return sbox
 
 
-_SBOX, _INV_SBOX = _build_sbox()
+_SBOX = _build_sbox()
 
 
 def _build_enc_tables() -> list[list[int]]:
@@ -82,25 +78,7 @@ def _build_enc_tables() -> list[list[int]]:
     return tables
 
 
-def _build_dec_tables() -> list[list[int]]:
-    """Inverse T-tables combining InvSubBytes and InvMixColumns."""
-    d0 = [0] * 256
-    for x in range(256):
-        s = _INV_SBOX[x]
-        e = _gf_mul(s, 0x0E)
-        b = _gf_mul(s, 0x0B)
-        d = _gf_mul(s, 0x0D)
-        n = _gf_mul(s, 0x09)
-        d0[x] = (e << 24) | (n << 16) | (d << 8) | b
-    tables = [d0]
-    for i in range(1, 4):
-        prev = tables[-1]
-        tables.append([((w >> 8) | ((w & 0xFF) << 24)) for w in prev])
-    return tables
-
-
 _TE = _build_enc_tables()
-_TD = _build_dec_tables()
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36,
          0x6C, 0xD8, 0xAB, 0x4D]
 
@@ -119,7 +97,6 @@ class AES:
             raise CryptoError(f"invalid AES key length {len(key)}")
         self._rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._round_keys = self._expand_key(key)
-        self._dec_round_keys: list[int] | None = None
 
     @staticmethod
     def _expand_key(key: bytes) -> list[int]:
@@ -178,60 +155,6 @@ class AES:
               | (sb[(s0 >> 8) & 0xFF] << 8) | sb[s1 & 0xFF]) ^ rk[k + 2]
         o3 = ((sb[(s3 >> 24) & 0xFF] << 24) | (sb[(s0 >> 16) & 0xFF] << 16)
               | (sb[(s1 >> 8) & 0xFF] << 8) | sb[s2 & 0xFF]) ^ rk[k + 3]
-        return (o0.to_bytes(4, "big") + o1.to_bytes(4, "big")
-                + o2.to_bytes(4, "big") + o3.to_bytes(4, "big"))
-
-    def _decryption_keys(self) -> list[int]:
-        """Equivalent-inverse-cipher round keys (InvMixColumns applied)."""
-        if self._dec_round_keys is not None:
-            return self._dec_round_keys
-        rk = self._round_keys
-        rounds = self._rounds
-        dk: list[int] = [0] * len(rk)
-        # Reverse round-key order by groups of four.
-        for i in range(rounds + 1):
-            for j in range(4):
-                dk[4 * i + j] = rk[4 * (rounds - i) + j]
-        # Apply InvMixColumns to all but first/last round keys.
-        td0, td1, td2, td3 = _TD
-        sb = _SBOX
-        for i in range(4, 4 * rounds):
-            w = dk[i]
-            dk[i] = (td0[sb[(w >> 24) & 0xFF]] ^ td1[sb[(w >> 16) & 0xFF]]
-                     ^ td2[sb[(w >> 8) & 0xFF]] ^ td3[sb[w & 0xFF]])
-        self._dec_round_keys = dk
-        return dk
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise CryptoError("AES block must be 16 bytes")
-        dk = self._decryption_keys()
-        td0, td1, td2, td3 = _TD
-        s0 = int.from_bytes(block[0:4], "big") ^ dk[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ dk[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ dk[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ dk[3]
-        k = 4
-        for _ in range(self._rounds - 1):
-            u0 = (td0[(s0 >> 24) & 0xFF] ^ td1[(s3 >> 16) & 0xFF]
-                  ^ td2[(s2 >> 8) & 0xFF] ^ td3[s1 & 0xFF] ^ dk[k])
-            u1 = (td0[(s1 >> 24) & 0xFF] ^ td1[(s0 >> 16) & 0xFF]
-                  ^ td2[(s3 >> 8) & 0xFF] ^ td3[s2 & 0xFF] ^ dk[k + 1])
-            u2 = (td0[(s2 >> 24) & 0xFF] ^ td1[(s1 >> 16) & 0xFF]
-                  ^ td2[(s0 >> 8) & 0xFF] ^ td3[s3 & 0xFF] ^ dk[k + 2])
-            u3 = (td0[(s3 >> 24) & 0xFF] ^ td1[(s2 >> 16) & 0xFF]
-                  ^ td2[(s1 >> 8) & 0xFF] ^ td3[s0 & 0xFF] ^ dk[k + 3])
-            s0, s1, s2, s3 = u0, u1, u2, u3
-            k += 4
-        isb = _INV_SBOX
-        o0 = ((isb[(s0 >> 24) & 0xFF] << 24) | (isb[(s3 >> 16) & 0xFF] << 16)
-              | (isb[(s2 >> 8) & 0xFF] << 8) | isb[s1 & 0xFF]) ^ dk[k]
-        o1 = ((isb[(s1 >> 24) & 0xFF] << 24) | (isb[(s0 >> 16) & 0xFF] << 16)
-              | (isb[(s3 >> 8) & 0xFF] << 8) | isb[s2 & 0xFF]) ^ dk[k + 1]
-        o2 = ((isb[(s2 >> 24) & 0xFF] << 24) | (isb[(s1 >> 16) & 0xFF] << 16)
-              | (isb[(s0 >> 8) & 0xFF] << 8) | isb[s3 & 0xFF]) ^ dk[k + 2]
-        o3 = ((isb[(s3 >> 24) & 0xFF] << 24) | (isb[(s2 >> 16) & 0xFF] << 16)
-              | (isb[(s1 >> 8) & 0xFF] << 8) | isb[s0 & 0xFF]) ^ dk[k + 3]
         return (o0.to_bytes(4, "big") + o1.to_bytes(4, "big")
                 + o2.to_bytes(4, "big") + o3.to_bytes(4, "big"))
 

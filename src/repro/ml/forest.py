@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.ml.base import BaseClassifier, LabelEncoder, validate_xy
 from repro.ml.tree import DecisionTreeClassifier
 
@@ -90,6 +91,9 @@ class RandomForestClassifier(BaseClassifier):
                  max_features: int | str | None = "sqrt",
                  bootstrap: bool = True,
                  random_state: int = 0):
+        if n_estimators < 1:
+            raise ConfigError(
+                f"n_estimators must be at least 1, got {n_estimators}")
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split

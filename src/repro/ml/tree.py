@@ -1,8 +1,13 @@
 """CART decision tree classifier (Gini impurity), numpy-vectorized.
 
 This is the base learner of the paper's best-performing model (random
-forest). Split search is vectorized per feature via sorted cumulative
-class counts, so training is O(features · n log n) per node.
+forest). Split search runs once per node over all sampled candidate
+features together: one stable sort of the (candidates, n) block, one
+cumulative class-count tensor, Gini scored at the valid boundaries
+only, then the first minimum per candidate and the first maximal gain
+across candidates. The cost per node is O(candidates · n · (log n +
+classes)) in a fixed number of numpy calls, however many candidates
+there are.
 """
 
 from __future__ import annotations
@@ -57,43 +62,49 @@ class _TreeBuilder:
         k = self.max_features or n_features
         candidates = self.rng.choice(n_features, size=min(k, n_features),
                                      replace=False)
-        best: _Split | None = None
-        onehot = np.zeros((n_samples, self.n_classes))
-        onehot[np.arange(n_samples), y] = 1.0
-        for feature in candidates:
-            x = X[:, feature]
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            # Cumulative class counts for prefixes of the sorted sample.
-            cum = np.cumsum(onehot[order], axis=0)
-            # Valid split positions: between distinct consecutive values,
-            # respecting min_samples_leaf.
-            distinct = xs[:-1] != xs[1:]
-            positions = np.nonzero(distinct)[0]
-            if self.min_samples_leaf > 1:
-                lo = self.min_samples_leaf - 1
-                hi = n_samples - self.min_samples_leaf
-                positions = positions[(positions >= lo)
-                                      & (positions <= hi)]
-            if positions.size == 0:
-                continue
-            left_counts = cum[positions]
-            n_left = positions + 1
-            n_right = n_samples - n_left
-            right_counts = counts_total - left_counts
-            gini_left = 1.0 - np.sum(
-                (left_counts / n_left[:, None]) ** 2, axis=1)
-            gini_right = 1.0 - np.sum(
-                (right_counts / n_right[:, None]) ** 2, axis=1)
-            weighted = (n_left * gini_left + n_right * gini_right) \
-                / n_samples
-            best_idx = int(np.argmin(weighted))
-            gain = gini_parent - weighted[best_idx]
-            if gain > 1e-12 and (best is None or gain > best.gain):
-                pos = positions[best_idx]
-                threshold = (xs[pos] + xs[pos + 1]) / 2.0
-                best = _Split(int(feature), float(threshold), float(gain))
-        return best
+        # One row per candidate feature, each row sorted ascending.
+        cols = X.T[candidates]
+        order = np.argsort(cols, axis=1, kind="stable")
+        xs = np.take_along_axis(cols, order, axis=1)
+        # Valid boundaries: between distinct consecutive values, leaving
+        # at least min_samples_leaf samples on either side.
+        valid = xs[:, :-1] != xs[:, 1:]
+        if self.min_samples_leaf > 1:
+            valid[:, :self.min_samples_leaf - 1] = False
+            valid[:, max(n_samples - self.min_samples_leaf + 1, 0):] = False
+        rows, positions = np.nonzero(valid)
+        if positions.size == 0:
+            return None
+        # Class counts of every sorted prefix of every candidate, read
+        # at the valid boundaries only (int32 holds them exactly).
+        onehot = np.zeros((n_samples, self.n_classes), dtype=np.int32)
+        onehot[np.arange(n_samples), y] = 1
+        cum = np.cumsum(onehot[order], axis=1, dtype=np.int32)
+        left_counts = cum[rows, positions].astype(np.float64)
+        n_left = positions + 1
+        n_right = n_samples - n_left
+        right_counts = counts_total - left_counts
+        gini_left = 1.0 - np.sum(
+            (left_counts / n_left[:, None]) ** 2, axis=1)
+        gini_right = 1.0 - np.sum(
+            (right_counts / n_right[:, None]) ** 2, axis=1)
+        weighted = (n_left * gini_left + n_right * gini_right) / n_samples
+        # `rows` is sorted, so each candidate's boundaries form one
+        # segment, segments in candidate order. The first maximal gain
+        # across segments is the first candidate that beats every
+        # earlier one; its first minimal boundary is the split.
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        gains = gini_parent - np.minimum.reduceat(weighted, starts)
+        seg = int(np.argmax(gains))
+        if gains[seg] <= 1e-12:
+            return None
+        lo = starts[seg]
+        hi = starts[seg + 1] if seg + 1 < len(starts) else len(weighted)
+        at = lo + int(np.argmin(weighted[lo:hi]))
+        row, pos = rows[at], positions[at]
+        threshold = (xs[row, pos] + xs[row, pos + 1]) / 2.0
+        return _Split(int(candidates[row]), float(threshold),
+                      float(gains[seg]))
 
     def build(self, X: np.ndarray, y: np.ndarray, depth: int = 0) -> int:
         if depth == 0:

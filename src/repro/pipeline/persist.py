@@ -63,8 +63,11 @@ def _deserialize_forest(meta: dict, prefix: str, arrays) -> \
     encoder = LabelEncoder()
     encoder.fit(meta["classes"])
     forest._encoder = encoder
+    n_trees = meta["n_trees"]
+    if not isinstance(n_trees, int) or n_trees < 1:
+        raise ValueError(f"{prefix} model has n_trees {n_trees!r}")
     trees = []
-    for i in range(meta["n_trees"]):
+    for i in range(n_trees):
         tree = DecisionTreeClassifier()
         tree._encoder = _SharedEncoder(encoder)
         tree._builder = object()  # marks the tree as fitted

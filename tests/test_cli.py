@@ -205,6 +205,15 @@ class TestCliWorkflow:
         assert "Synthesizing lab dataset" in out
         assert (bank_dir / "manifest.json").exists()
 
+    def test_train_rejects_zero_trees(self, workspace, capsys):
+        bank_dir = workspace / "bank-zero"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--out", str(bank_dir), "--trees", "0"])
+        assert exc.value.code != 0
+        assert "--trees: must be a positive integer" in \
+            capsys.readouterr().err
+        assert not bank_dir.exists()
+
     def test_missing_subcommand_errors(self):
         with pytest.raises(SystemExit):
             main([])

@@ -49,12 +49,6 @@ class TestAesVectors:
             assert cipher.encrypt_block(bytes.fromhex(pt_hex)) == \
                 bytes.fromhex(ct_hex)
 
-    def test_decrypt_vectors(self):
-        key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-        ciphertext = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
-        expected = bytes.fromhex("00112233445566778899aabbccddeeff")
-        assert AES(key).decrypt_block(ciphertext) == expected
-
 
 class TestAesInterface:
     def test_rejects_bad_key_length(self):
@@ -65,8 +59,6 @@ class TestAesInterface:
         cipher = AES(bytes(16))
         with pytest.raises(CryptoError):
             cipher.encrypt_block(b"tooshort")
-        with pytest.raises(CryptoError):
-            cipher.decrypt_block(bytes(17))
 
     def test_ctr_keystream_length_and_prefix(self):
         cipher = AES(bytes(16))
@@ -87,18 +79,6 @@ class TestAesInterface:
 
 
 class TestAesProperties:
-    @given(key=st.binary(min_size=16, max_size=16),
-           block=st.binary(min_size=16, max_size=16))
-    def test_encrypt_decrypt_roundtrip_128(self, key, block):
-        cipher = AES(key)
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
-    @given(key=st.binary(min_size=32, max_size=32),
-           block=st.binary(min_size=16, max_size=16))
-    def test_encrypt_decrypt_roundtrip_256(self, key, block):
-        cipher = AES(key)
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
     @given(block=st.binary(min_size=16, max_size=16))
     def test_encryption_is_permutation(self, block):
         cipher = AES(bytes(range(16)))

@@ -1,8 +1,10 @@
 """Tests for the from-scratch ML substrate."""
 
+import zipfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, DatasetError, NotFittedError
@@ -24,6 +26,7 @@ from repro.ml import (
     normalized_confusion,
     per_class_accuracy,
 )
+from repro.ml.tree import _Split, _TreeBuilder
 
 
 def _blobs(n_per_class=60, n_classes=3, d=6, seed=0, spread=0.6):
@@ -137,6 +140,11 @@ class TestRandomForest:
         a = RandomForestClassifier(n_estimators=5, random_state=11)
         b = RandomForestClassifier(n_estimators=5, random_state=11)
         assert a.fit(X, y).predict(X) == b.fit(X, y).predict(X)
+
+    @pytest.mark.parametrize("n_estimators", [0, -3])
+    def test_rejects_empty_forest(self, n_estimators):
+        with pytest.raises(ConfigError, match="n_estimators"):
+            RandomForestClassifier(n_estimators=n_estimators)
 
     def test_class_missing_from_bootstrap_ok(self):
         # Tiny minority class: bootstraps will often miss it entirely.
@@ -343,3 +351,150 @@ class TestFeatureImportances:
         # Importances are train-time state; restored models expose an
         # empty array rather than lying.
         assert scenario.platform_model.feature_importances_.size == 0
+
+
+def _reference_best_split(self, X: np.ndarray,
+                          y: np.ndarray) -> _Split | None:
+    """The per-feature split search the node-level one replaced: one
+    sort and one Gini scan per candidate feature. The oracle for
+    :class:`TestSplitSearchEquivalence`."""
+    n_samples, n_features = X.shape
+    counts_total = self._class_counts(y)
+    gini_parent = 1.0 - np.sum((counts_total / n_samples) ** 2)
+    if gini_parent <= 0.0:
+        return None
+    k = self.max_features or n_features
+    candidates = self.rng.choice(n_features, size=min(k, n_features),
+                                 replace=False)
+    best: _Split | None = None
+    onehot = np.zeros((n_samples, self.n_classes))
+    onehot[np.arange(n_samples), y] = 1.0
+    for feature in candidates:
+        x = X[:, feature]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        # Cumulative class counts for prefixes of the sorted sample.
+        cum = np.cumsum(onehot[order], axis=0)
+        # Valid split positions: between distinct consecutive values,
+        # respecting min_samples_leaf.
+        distinct = xs[:-1] != xs[1:]
+        positions = np.nonzero(distinct)[0]
+        if self.min_samples_leaf > 1:
+            lo = self.min_samples_leaf - 1
+            hi = n_samples - self.min_samples_leaf
+            positions = positions[(positions >= lo)
+                                  & (positions <= hi)]
+        if positions.size == 0:
+            continue
+        left_counts = cum[positions]
+        n_left = positions + 1
+        n_right = n_samples - n_left
+        right_counts = counts_total - left_counts
+        gini_left = 1.0 - np.sum(
+            (left_counts / n_left[:, None]) ** 2, axis=1)
+        gini_right = 1.0 - np.sum(
+            (right_counts / n_right[:, None]) ** 2, axis=1)
+        weighted = (n_left * gini_left + n_right * gini_right) \
+            / n_samples
+        best_idx = int(np.argmin(weighted))
+        gain = gini_parent - weighted[best_idx]
+        if gain > 1e-12 and (best is None or gain > best.gain):
+            pos = positions[best_idx]
+            threshold = (xs[pos] + xs[pos + 1]) / 2.0
+            best = _Split(int(feature), float(threshold), float(gain))
+    return best
+
+
+_TREE_ARRAYS = ("_feature_arr", "_threshold_arr", "_left_arr",
+                "_right_arr", "_value_arr")
+
+
+def _forest_bytes(forest: RandomForestClassifier) -> list[bytes]:
+    """Every node array and importance accumulator, as raw bytes."""
+    out = []
+    for tree in forest._trees:
+        out.extend(getattr(tree, name).tobytes() for name in _TREE_ARRAYS)
+        out.append(tree._builder.importance_acc.tobytes())
+    return out
+
+
+@st.composite
+def _split_problems(draw):
+    """Small tables built to stress the split search's edge cases:
+    few distinct values (heavy ties), constant columns, duplicated
+    rows, many classes and single-class nodes."""
+    n = draw(st.integers(min_value=2, max_value=300))
+    d = draw(st.integers(min_value=1, max_value=12))
+    n_classes = draw(st.integers(min_value=1, max_value=15))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(1, 8, size=d)
+    X = rng.integers(0, levels, size=(n, d)).astype(np.float64)
+    X[:, rng.random(d) < 0.3] = 1.5                 # constant columns
+    continuous = rng.random(d) < 0.3
+    X[:, continuous] = rng.normal(size=(n, int(continuous.sum())))
+    y = rng.integers(0, n_classes, size=n)
+    return X, y
+
+
+class TestSplitSearchEquivalence:
+    """The node-level split search grows byte-identical trees to the
+    per-feature reference: same features, thresholds, children, leaf
+    distributions and importance accumulators."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=_split_problems(),
+           min_samples_leaf=st.sampled_from([1, 2, 5]),
+           max_features=st.sampled_from([None, "sqrt", 1, 3, 50]),
+           max_depth=st.sampled_from([None, 3, 20]),
+           bootstrap=st.booleans(),
+           seed=st.integers(min_value=0, max_value=1000))
+    @example(problem=(np.zeros((40, 3)), np.arange(40) % 3),
+             min_samples_leaf=1, max_features=None, max_depth=None,
+             bootstrap=False, seed=0)            # every column all-tied
+    @example(problem=(np.arange(8.0)[:, None], np.arange(8) % 2),
+             min_samples_leaf=5, max_features=None, max_depth=None,
+             bootstrap=False, seed=0)            # leaf floor kills all
+    def test_forest_bytes_match_reference(self, problem, min_samples_leaf,
+                                          max_features, max_depth,
+                                          bootstrap, seed):
+        X, y = problem
+        params = dict(n_estimators=3, max_depth=max_depth,
+                      min_samples_leaf=min_samples_leaf,
+                      max_features=max_features, bootstrap=bootstrap,
+                      random_state=seed)
+        fast = RandomForestClassifier(**params).fit(X, y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_TreeBuilder, "_best_split",
+                          _reference_best_split)
+            ref = RandomForestClassifier(**params).fit(X, y)
+        assert _forest_bytes(fast) == _forest_bytes(ref)
+
+    def test_ledger_bank_bytes_match_reference(self, tmp_path, monkeypatch):
+        from repro.pipeline import ClassifierBank, save_bank
+        from repro.trafficgen import generate_lab_dataset
+
+        lab = generate_lab_dataset(seed=1, scale=0.02)
+
+        def bank_bytes(out):
+            bank = ClassifierBank.train(
+                lab, model_factory=lambda: RandomForestClassifier(
+                    n_estimators=8, max_depth=20, max_features=34,
+                    random_state=0))
+            save_bank(bank, out)
+            # Compare the .npz members, not the archives: the zip
+            # headers carry the write time.
+            files = {}
+            for path in sorted(out.iterdir()):
+                if path.suffix == ".npz":
+                    with zipfile.ZipFile(path) as archive:
+                        for name in archive.namelist():
+                            files[f"{path.name}/{name}"] = archive.read(name)
+                else:
+                    files[path.name] = path.read_bytes()
+            return files
+
+        fast = bank_bytes(tmp_path / "fast")
+        monkeypatch.setattr(_TreeBuilder, "_best_split",
+                            _reference_best_split)
+        assert bank_bytes(tmp_path / "ref") == fast

@@ -245,6 +245,21 @@ class TestCorruptionRejected:
         with pytest.raises(ConfigError):
             load_bank(bank_dir)
 
+    @pytest.mark.parametrize("n_estimators", [None, 0])
+    def test_bank_zero_trees_rejected(self, bank_dir, n_estimators):
+        """A hand-edited bank whose forest has no trees must fail at
+        load, typed, not at the first prediction."""
+        victim = sorted(p for p in bank_dir.glob("*.json")
+                        if p.name != "manifest.json")[0]
+        meta = json.loads(victim.read_text())
+        meta["models"]["platform"]["n_trees"] = 0
+        if n_estimators is not None:
+            meta["models"]["platform"]["params"]["n_estimators"] = \
+                n_estimators
+        victim.write_text(json.dumps(meta))
+        with pytest.raises(ConfigError, match="n_trees|n_estimators"):
+            load_bank(bank_dir)
+
     def test_bank_garbage_manifest_rejected(self, bank_dir):
         (bank_dir / "manifest.json").write_bytes(b"\x00\xff{{{")
         with pytest.raises(ConfigError):
